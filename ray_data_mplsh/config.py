@@ -98,10 +98,6 @@ class MPLSHConfig:
                                   # (single-node bench: 509MB broadcast beat
                                   # the shuffle attach by ~30s per run)
     minhash_batch_size: int = 1024
-    minhash_concurrency: int = 0  # 0 = warm-task schedule (default; params
-                                  # memoized per worker); >0 = explicit
-                                  # actor pool of that size (for variants
-                                  # with genuinely expensive setup)
 
     # --- checkpointing (ops 3-4) ---
     ckpt_dir: str = ""            # "" = no checkpoints
@@ -129,7 +125,7 @@ class MPLSHConfig:
         sem = {
             k: v for k, v in asdict(self).items()
             if k not in ("num_partitions", "minhash_batch_size",
-                         "minhash_concurrency", "ckpt_dir", "run_id",
+                         "ckpt_dir", "run_id",
                          "broadcast_max_docs", "local_state_max_rows",
                          "substr_broadcast_max_bytes")
         }

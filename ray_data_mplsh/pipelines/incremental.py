@@ -386,33 +386,15 @@ def _substring_incremental(marked, cfg: MPLSHConfig, P: int,
         .map_batches(only_new_canon, batch_format="pyarrow") \
         .select_columns(["doc_id", "text"])
     # joint canon stats: the same data-sized gates as substring_stage
-    canon = marked.filter(expr="is_canonical == True") \
-        .select_columns(["doc_id", "text"]).materialize()
-    n_canon = canon.count()
-    schema = marked.schema()
-    if schema is not None and "n_chars" in schema.names:
-        canon_bytes = marked.select_columns(["is_canonical", "n_chars"]) \
-            .filter(expr="is_canonical == True").sum("n_chars") or 0
-    else:
-        canon_bytes = 0
-    est_rows = max(n_canon, int(canon_bytes) // 45)
+    canon, n_canon, canon_bytes = _out._canon_stats(marked)
+    est_rows = max(n_canon, canon_bytes // 45)
     pe = sized_partitions(est_rows, P)
 
-    # the emitter feeds the pairing exchange: apply substring_stage's
-    # data-sized bundling gate (sliver input blocks make the
-    # sort-exchange pay blocks x partitions objects — the round-4
-    # scaling lesson). The gate keys on the JOINT canon stats — the
-    # exchange is joint-sized however small the new shard is, and
-    # new_canon inherits the whole corpus's sliver block structure.
-    emitter = _out._fingerprint_emitter(cfg)
-    if n_canon >= _out.BUNDLE_MIN_DOCS and \
-            int(canon_bytes) >= _out.BUNDLE_MIN_BYTES:
-        avg_doc = max(1, int(canon_bytes) // max(n_canon, 1))
-        fp_bs = int(min(8192, max(512, _out.BUNDLE_MIN_BYTES // avg_doc)))
-        fps_new = new_canon.map_batches(emitter, batch_format="pyarrow",
-                                        batch_size=fp_bs)
-    else:
-        fps_new = new_canon.map_batches(emitter, batch_format="pyarrow")
+    # the emitter feeds the pairing exchange, so its bundling gate keys
+    # on the JOINT canon stats — the exchange is joint-sized however
+    # small the new shard is, and new_canon inherits the whole corpus's
+    # sliver block structure.
+    fps_new = _out._fingerprints(new_canon, n_canon, canon_bytes, cfg)
     fps = base_fps.union(fps_new)
     ts = time.monotonic()
     if save_cfg is not None:
@@ -423,7 +405,7 @@ def _substring_incremental(marked, cfg: MPLSHConfig, P: int,
 
     # 4. pairing over the joint fps (identical multiset -> identical pair
     # set; _pairs_of_runs is partitioning/order independent, pinned)
-    pfn = _out._fp_pairs_fn(cfg.substr_bucket_cap)
+    pfn = _out._emit_pairs_fn("fp", cfg.substr_bucket_cap)
     pairs = _out.dedup_pairs(partition_apply(fps, "fp", pfn, pe), pe,
                              local_max_rows=cfg.local_state_max_rows)
     if save_cfg is not None:
@@ -541,14 +523,8 @@ def _substring_incremental(marked, cfg: MPLSHConfig, P: int,
     reused_spans = partition_apply(u2, "pk", pick, pe)
 
     # 7. fresh spans through the standard attach gates
-    if n_canon <= cfg.broadcast_max_docs and \
-            canon_bytes <= cfg.substr_broadcast_max_bytes:
-        fresh_spans = _out._extract_spans_broadcast(fresh, canon, cfg)
-    else:
-        wt = _out._attach_texts_shuffle(fresh, canon, P)
-        fresh_spans = wt.map_batches(_out._SpanExtractor(cfg.substr_len),
-                                     batch_format="pyarrow",
-                                     batch_size=512)
+    fresh_spans = _out._pair_spans(fresh, canon, n_canon, canon_bytes, cfg,
+                                   P)
     spans = reused_spans.union(fresh_spans)
     if save_cfg is not None:
         spans = _save_ckpt(spans, save_cfg, "substr_spans", ts)

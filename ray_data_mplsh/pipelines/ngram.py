@@ -2,19 +2,13 @@
 verifies candidate pairs against TRUE shingle sets instead of the MinHash
 signature estimate (SURVEY.md §2.4 op 18 exact variant).
 
-Two physical plans, gated on ``cfg.broadcast_max_docs`` like every other
-small-side lookup in this engine:
+The sets attach to pairs through ``shuffle.pair_apply`` — the operator
+behind S6 verify — gated on ``cfg.broadcast_max_docs`` like every other
+small-side lookup in this engine: at or under it the per-doc shingle sets
+are broadcast once; above it the variable-length sets ride the pair-keyed
+two-hop exchange with no driver materialization and no size cap.
 
-* **broadcast** (n_docs <= threshold): the per-doc sorted shingle sets are
-  shipped ONCE as three parallel arrays (sorted doc ids, offsets, flat
-  values — zero-copy numpy out of the object store) and each pair batch
-  resolves both sides with searchsorted.
-* **shuffle** (scale path): variable-length shingle sets ride a pair-keyed
-  two-hop exchange (doc-keyed attach, then exact-(a,b) combine with the
-  pair hash as routing key only — same identity rule as
-  stages/verify.py) with no driver materialization and no size cap.
-
-Both paths share one vectorized Jaccard kernel: per batch of pairs, the
+Both plans share one vectorized Jaccard kernel: per batch of pairs, the
 two sides' elements are tagged with their pair index and lexsorted once;
 adjacent duplicates within a pair count the intersection (sets are unique
 per doc), so there is NO per-pair Python loop.
@@ -24,13 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ray_data_mplsh.config import MPLSHConfig
 from ray_data_mplsh.functions.extract import tokenize_batch
 from ray_data_mplsh.functions.hashing import (
     hash_str_array, rolling_shingle_hashes,
 )
-from ray_data_mplsh.stages.shuffle import gather_slices as _gather_lists
 
 PAIR_JACCARD_SCHEMA = pa.schema([
     ("a", pa.uint64()), ("b", pa.uint64()), ("jaccard", pa.float64())])
@@ -111,171 +105,51 @@ def _list_parts(col) -> tuple[np.ndarray, np.ndarray]:
             col.values.to_numpy(zero_copy_only=False).astype(np.uint64))
 
 
-def _jaccard_broadcast(pairs, sets_tbl, min_jaccard: float):
-    """Sets broadcast as (sorted ids, offs, flat) — resolved per batch with
-    searchsorted, scored with the shared vectorized kernel."""
-    import ray
+def _sets_kernel_args(sets_a, sets_b) -> tuple:
+    """(vals_a, lens_a, vals_b, lens_b) of two list<uint64> arrays — the
+    argument layout of pair_jaccard_kernel / pair_intersect_kernel."""
+    return tuple(f(s).to_numpy(zero_copy_only=False)
+                 for s in (sets_a, sets_b)
+                 for f in (pc.list_flatten, pc.list_value_length))
 
-    from ray_data_mplsh.stages.shuffle import cached_get
 
-    ids_l, offs_l, vals_l = [], [], []
-    for b in sets_tbl.iter_batches(batch_size=8192, batch_format="pyarrow"):
-        ids_l.append(b["doc_id"].to_numpy(zero_copy_only=False)
-                     .astype(np.uint64))
-        o, v = _list_parts(b["shingles"])
-        offs_l.append(np.diff(o))
-        vals_l.append(v)
-    if ids_l:
-        ids = np.concatenate(ids_l)
-        lens = np.concatenate(offs_l)
-        vals = np.concatenate(vals_l)
-        order = np.argsort(ids, kind="stable")
-        # reorder the flat values to match sorted-id row order
-        offs_un = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
-        svals, slens = _gather_lists(offs_un, vals, order)
-        ids = ids[order]
-        offs = np.concatenate(([0], np.cumsum(slens))).astype(np.int64)
-        vals = svals
-    else:
-        ids = np.empty(0, np.uint64)
-        offs = np.zeros(1, np.int64)
-        vals = np.empty(0, np.uint64)
-    ref = ray.put((ids, offs, vals))
+def _jaccard_kernel(min_jaccard: float):
+    """pair_apply kernel over (a, b, sets_a, sets_b): exact set Jaccard,
+    pairs below ``min_jaccard`` dropped."""
 
-    def score(batch: pa.Table) -> pa.Table:
-        sids, soffs, svals = cached_get(ref)
-        a = batch["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = batch["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        ia = np.clip(np.searchsorted(sids, a), 0, max(len(sids) - 1, 0))
-        ib = np.clip(np.searchsorted(sids, b), 0, max(len(sids) - 1, 0))
-        ok = np.zeros(len(a), bool) if not len(sids) else \
-            (sids[ia] == a) & (sids[ib] == b)
-        va, la = _gather_lists(soffs, svals, ia[ok])
-        vb, lb = _gather_lists(soffs, svals, ib[ok])
-        jac = pair_jaccard_kernel(va, la, vb, lb)
+    def kernel(a, b, sets_a, sets_b) -> pa.Table:
+        jac = pair_jaccard_kernel(*_sets_kernel_args(sets_a, sets_b))
         keep = jac >= min_jaccard
         return pa.Table.from_arrays([
-            pa.array(a[ok][keep], pa.uint64()),
-            pa.array(b[ok][keep], pa.uint64()),
+            pa.array(a[keep], pa.uint64()),
+            pa.array(b[keep], pa.uint64()),
             pa.array(jac[keep], pa.float64()),
         ], schema=PAIR_JACCARD_SCHEMA)
 
-    # Small batches on purpose: the pair-Jaccard kernel is O(E log E) in
-    # flattened set elements, so one coalesced mega-batch serializes the
-    # stage into a single task; 8k pairs x ~100 shingles keeps each task
-    # ~1M elements and lets the pool run wide.
-    return pairs.select_columns(["a", "b"]).map_batches(
-        score, batch_format="pyarrow", batch_size=8192)
-
-
-def _jaccard_shuffle(pairs, sets_tbl, min_jaccard: float,
-                     num_partitions: int):
-    """Scale path: shingle sets attached by a doc-keyed exchange, pairs
-    combined by exact (a, b) under a hash-routed partition — the
-    verify_stage_shuffle pattern with variable-length list payloads."""
-    from ray_data_mplsh.functions.hashing import mix64
-    from ray_data_mplsh.stages.shuffle import partition_apply
-
-    empty_list = pa.list_(pa.uint64())
-
-    def mk_requests(batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = batch["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        n = len(a)
-        return pa.Table.from_arrays([
-            pa.array(np.concatenate([a, b]), pa.uint64()),
-            pa.array(np.concatenate([a, a]), pa.uint64()),
-            pa.array(np.concatenate([b, b]), pa.uint64()),
-            pa.array(np.concatenate([np.zeros(n, np.int8),
-                                     np.ones(n, np.int8)]), pa.int8()),
-            pa.nulls(2 * n, empty_list),
-        ], names=["key", "a", "b", "side", "shingles"])
-
-    def mk_set_rows(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        n = len(ids)
-        z = pa.array(np.zeros(n, np.uint64), pa.uint64())
-        sh = batch["shingles"].combine_chunks()
-        if sh.type != empty_list:
-            sh = sh.cast(empty_list)
-        return pa.Table.from_arrays([
-            pa.array(ids, pa.uint64()), z, z,
-            pa.array(np.full(n, 2, np.int8), pa.int8()), sh,
-        ], names=["key", "a", "b", "side", "shingles"])
-
-    u = pairs.select_columns(["a", "b"]) \
-        .map_batches(mk_requests, batch_format="pyarrow") \
-        .union(sets_tbl.map_batches(mk_set_rows, batch_format="pyarrow"))
-
-    def attach(part: pa.Table) -> pa.Table:
-        side = part["side"].to_numpy(zero_copy_only=False)
-        key = part["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        is_set = side == 2
-        set_keys = key[is_set]
-        order = np.argsort(set_keys, kind="stable")
-        set_keys = set_keys[order]
-        sets = part.filter(pa.array(is_set))["shingles"].combine_chunks() \
-            .take(pa.array(order))
-        reqs = part.filter(pa.array(~is_set))
-        q = key[~is_set]
-        i = np.clip(np.searchsorted(set_keys, q), 0,
-                    max(len(set_keys) - 1, 0))
-        hit = (set_keys[i] == q) if len(set_keys) \
-            else np.zeros(len(q), bool)
-        reqs = reqs.filter(pa.array(hit))
-        a = reqs["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = reqs["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return pa.table({
-            "pk": pa.array(mix64(a) ^ mix64(b), pa.uint64()),
-            "a": reqs["a"], "b": reqs["b"], "side": reqs["side"],
-            "shingles": sets.take(pa.array(i[hit])),
-        })
-
-    att = partition_apply(u, "key", attach, num_partitions)
-
-    def combine(part: pa.Table) -> pa.Table:
-        side = part["side"].to_numpy(zero_copy_only=False)
-        a = part["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = part["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        order = np.lexsort((side, b, a))
-        sa, sb, ss = a[order], b[order], side[order]
-        new = np.concatenate(([True], (sa[1:] != sa[:-1]) |
-                              (sb[1:] != sb[:-1])))
-        starts = np.flatnonzero(new)
-        starts = np.concatenate([starts, [len(sa)]])
-        full = starts[:-1][np.diff(starts) == 2]
-        full = full[(ss[full] == 0) & (ss[full + 1] == 1)]
-        i0, i1 = order[full], order[full + 1]
-        offs, vals = _list_parts(part["shingles"])
-        va, la = _gather_lists(offs, vals, i0)
-        vb, lb = _gather_lists(offs, vals, i1)
-        jac = pair_jaccard_kernel(va, la, vb, lb)
-        keep = jac >= min_jaccard
-        return pa.Table.from_arrays([
-            pa.array(a[i0][keep], pa.uint64()),
-            pa.array(b[i0][keep], pa.uint64()),
-            pa.array(jac[keep], pa.float64()),
-        ], schema=PAIR_JACCARD_SCHEMA)
-
-    return partition_apply(att, "pk", combine, num_partitions)
+    return kernel
 
 
 def exact_jaccard_pairs(pairs, docs, cfg: MPLSHConfig, *,
                         min_jaccard: float = 0.0, num_partitions: int = 0,
-                        force_shuffle: bool = False, sets_tbl=None):
-    """(a, b) candidate pairs + docs (doc_id, text) -> (a, b, jaccard) with
-    the exact shingle-set Jaccard, keeping pairs >= min_jaccard. No doc
-    cap: above ``cfg.broadcast_max_docs`` (or with ``force_shuffle``) the
-    sets ride the pair-keyed exchange instead of a broadcast. A caller
-    that already materialized the per-doc sets (ppjoin's df/prefix
-    phase) passes them via ``sets_tbl`` to skip the second shingle
-    pass over the corpus."""
-    from ray_data_mplsh.stages.shuffle import default_partitions
+                        sets_tbl=None):
+    """(a, b) candidate pairs (each at most once) + docs (doc_id, text) ->
+    (a, b, jaccard) with the exact shingle-set Jaccard, keeping pairs
+    >= min_jaccard. No doc cap: above ``cfg.broadcast_max_docs`` the sets
+    ride the pair-keyed exchange instead of a broadcast. A caller that
+    already materialized the per-doc sets (ppjoin's df/prefix phase)
+    passes them via ``sets_tbl`` to skip the second shingle pass over
+    the corpus."""
+    from ray_data_mplsh.stages.shuffle import default_partitions, pair_apply
 
-    P = default_partitions(num_partitions)
     if sets_tbl is None:
         sets_tbl = _sets_stage(docs, cfg).materialize()
-    n_docs = sets_tbl.count()
-    if force_shuffle or n_docs > cfg.broadcast_max_docs:
-        return _jaccard_shuffle(pairs, sets_tbl, min_jaccard, P)
-    return _jaccard_broadcast(pairs, sets_tbl, min_jaccard)
+    # Small broadcast batches on purpose: the pair-Jaccard kernel is
+    # O(E log E) in flattened set elements, so one coalesced mega-batch
+    # serializes the stage into a single task; 8k pairs x ~100 shingles
+    # keeps each task ~1M elements and lets the pool run wide.
+    return pair_apply(pairs, sets_tbl, "shingles",
+                      _jaccard_kernel(min_jaccard),
+                      default_partitions(num_partitions),
+                      payload_type=pa.list_(pa.uint64()),
+                      broadcast=sets_tbl.count() <= cfg.broadcast_max_docs,
+                      batch_size=8192)

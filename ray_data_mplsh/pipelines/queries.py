@@ -351,53 +351,31 @@ def q_allpair_containment(sf_dir: str):
     """Broder CONTAINMENT C(a->b) = |Sa n Sb| / |Sa| for the deterministic
     doc_id < 256 pair set — the asymmetric near-dup signal that catches a
     short doc swallowed by a long one (Jaccard misses those). Shingle
-    sets are bounded by construction, so the broadcast (ray.put once,
-    searchsorted gather + the shared one-lexsort intersect kernel per
-    batch) is the scale-correct plan for this diagnostic. Bit-exact vs
-    the list_intersect oracle."""
-    import ray
-
-    from ray_data_mplsh.pipelines.ngram import (_gather_lists, _list_parts,
+    sets are bounded by construction, so pair_apply's broadcast plan
+    (ray.put once, searchsorted lookup + the shared one-lexsort intersect
+    kernel per batch) is the scale-correct plan for this diagnostic.
+    Bit-exact vs the list_intersect oracle."""
+    from ray_data_mplsh.pipelines.ngram import (_sets_kernel_args,
                                                 _sets_stage,
                                                 pair_intersect_kernel)
-    from ray_data_mplsh.stages.shuffle import cached_get, from_arrow_blocks
+    from ray_data_mplsh.stages.shuffle import from_arrow_blocks, pair_apply
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         lambda t: t.filter(pc.less(t["doc_id"], _APJ_MAX_ID)),
         batch_format="pyarrow")
     sets_tbl = _sets_stage(docs, MPLSHConfig()).materialize()
-    ids_l, lens_l, vals_l = [], [], []
-    for b in sets_tbl.iter_batches(batch_size=8192,
-                                   batch_format="pyarrow"):
-        ids_l.append(b["doc_id"].to_numpy(zero_copy_only=False)
-                     .astype(np.uint64))
-        o, v = _list_parts(b["shingles"])
-        lens_l.append(np.diff(o))
-        vals_l.append(v)
-    ids = np.concatenate(ids_l or [np.empty(0, np.uint64)])
-    lens = np.concatenate(lens_l or [np.empty(0, np.int64)])
-    vals = np.concatenate(vals_l or [np.empty(0, np.uint64)])
-    order = np.argsort(ids, kind="stable")
-    offs_un = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
-    svals, slens = _gather_lists(offs_un, vals, order)
-    ids = ids[order]
-    offs = np.concatenate(([0], np.cumsum(slens))).astype(np.int64)
-    ref = ray.put((ids, offs, svals))
-
+    ids = np.sort(np.concatenate(
+        [b["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+         for b in sets_tbl.iter_batches(batch_format="pyarrow")] or
+        [np.empty(0, np.uint64)]))
     ai, bi = np.triu_indices(len(ids), k=1)
     # both directions: containment is asymmetric
     pairs = from_arrow_blocks(pa.table({
         "a": pa.array(np.concatenate([ids[ai], ids[bi]]), pa.uint64()),
         "b": pa.array(np.concatenate([ids[bi], ids[ai]]), pa.uint64())}))
 
-    def score(batch: pa.Table) -> pa.Table:
-        sids, soffs, sv = cached_get(ref)
-        a = batch["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = batch["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        ia = np.searchsorted(sids, a)
-        ib = np.searchsorted(sids, b)
-        va, la = _gather_lists(soffs, sv, ia)
-        vb, lb = _gather_lists(soffs, sv, ib)
+    def score(a, b, sets_a, sets_b) -> pa.Table:
+        va, la, vb, lb = _sets_kernel_args(sets_a, sets_b)
         inter = pair_intersect_kernel(va, la, vb, lb)
         c = inter.astype(np.float64) / np.maximum(la, 1)
         keep = (c >= _APC_MIN_C) & (la > 0)
@@ -406,7 +384,9 @@ def q_allpair_containment(sf_dir: str):
             "b": pa.array(b[keep].astype(np.int64), pa.int64()),
             "containment": pa.array(c[keep], pa.float64())})
 
-    return pairs.map_batches(score, batch_format="pyarrow")
+    return pair_apply(pairs, sets_tbl, "shingles", score, 0,
+                      payload_type=pa.list_(pa.uint64()), broadcast=True,
+                      batch_size=4096)
 
 
 _PPJ_T = 0.5
@@ -1285,7 +1265,8 @@ _MINHASH_SIGS_K = 16
 
 def q_band_keys(sf_dir: str):
     """LSH band + multi-probe key emission (op 13), driver-hash-checked:
-    the production ``band_stage`` (``BandProbeEmitter`` semantics — b=4
+    the production band emitter (``make_band_emitter``, the map
+    ``band_stage`` runs; ``BandProbeEmitter`` semantics — b=4
     bands of r=4 signature slots, probe rank 0 = exact key, ranks 1..4 =
     the 1-mask perturbation keys of [MPLSH §4.4] with MASK_SENTINEL in
     slot t-1, all namespaced via the Horner prefix ``band*(r+1)+t``) over
@@ -1294,27 +1275,36 @@ def q_band_keys(sf_dir: str):
     masked Horner + SplitMix64), so every emitted (doc, band, probe) key
     is bit-exact — together with q_minhash_sigs this puts a driver
     signature on the flagship path through candidate-key generation."""
-    from ray_data_mplsh.stages.bands import band_stage
+    from ray_data_mplsh.stages.bands import make_band_emitter
     from ray_data_mplsh.stages.minhash import minhash_stage
 
     cfg = MPLSHConfig(num_perm=_MINHASH_SIGS_K, bands=4, rows_per_band=4,
                       probes=4, word_hash="poly")
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    keys = band_stage(minhash_stage(docs, cfg), cfg)
+    emit = make_band_emitter(cfg)
+    nt = 1 + cfg.probes
 
-    def fmt(t: pa.Table) -> pa.Table:
+    def keys_of(sigs: pa.Table) -> pa.Table:
+        # the emitter's rows carry no (band, probe) columns; a signature
+        # batch holds whole docs, so each doc's b*(1+T) keys are one
+        # doc-major run and the labels follow from the run position
+        t = emit(sigs)
         bh = t["band_hash"].to_numpy(zero_copy_only=False)
+        n = sigs.num_rows
         return pa.table({
             "doc_id": pc.cast(t["doc_id"], pa.int64()),
-            "band_id": pc.cast(t["band_id"], pa.int64()),
-            "probe_rank": pc.cast(t["probe_rank"], pa.int64()),
+            "band_id": pa.array(np.tile(np.repeat(
+                np.arange(cfg.bands, dtype=np.int64), nt), n), pa.int64()),
+            "probe_rank": pa.array(np.tile(
+                np.arange(nt, dtype=np.int64), cfg.bands * n), pa.int64()),
             "bh_hi": pa.array((bh >> np.uint64(32)).astype(np.int64),
                               pa.int64()),
             "bh_lo": pa.array((bh & np.uint64(0xFFFFFFFF)).astype(np.int64),
                               pa.int64()),
         })
 
-    return keys.map_batches(fmt, batch_format="pyarrow")
+    return minhash_stage(docs, cfg).map_batches(keys_of,
+                                                batch_format="pyarrow")
 
 
 _LSHV_CACHE: dict = {}
@@ -1372,14 +1362,13 @@ def q_lsh_verified_pairs(sf_dir: str):
 def q_substring_candidates(sf_dir: str):
     """The substring pass's candidate generation (op 24 front half),
     driver-hash-checked: the production ``_fingerprint_emitter`` (batch
-    winnow kernel) -> fp-keyed bucket pairing (``_fp_pairs_fn``: all
+    winnow kernel) -> fp-keyed bucket pairing (``_emit_pairs_fn``: all
     C(g,2) pairs at or under substr_bucket_cap, star above) -> global
     pair dedup, replayed end-to-end by ``_SUBSTR_PAIRS_SQL`` (winnow
     CTEs + the equal-fp self-join with the cap/star rule). Same ASCII
     precondition as q_fingerprints."""
-    from ray_data_mplsh.stages.output import (_fingerprint_emitter,
-                                              _fp_pairs_fn)
-    from ray_data_mplsh.stages.pairs import dedup_pairs
+    from ray_data_mplsh.stages.output import _fingerprint_emitter
+    from ray_data_mplsh.stages.pairs import _emit_pairs_fn, dedup_pairs
     from ray_data_mplsh.stages.shuffle import (default_partitions,
                                                partition_apply)
 
@@ -1388,8 +1377,8 @@ def q_substring_candidates(sf_dir: str):
     P = default_partitions(cfg.num_partitions)
     fps = docs.map_batches(_fingerprint_emitter(cfg),
                            batch_format="pyarrow")
-    pairs = partition_apply(fps, "fp", _fp_pairs_fn(cfg.substr_bucket_cap),
-                            P)
+    pairs = partition_apply(fps, "fp",
+                            _emit_pairs_fn("fp", cfg.substr_bucket_cap), P)
     pairs = dedup_pairs(pairs, P, local_max_rows=cfg.local_state_max_rows)
 
     def fmt(t: pa.Table) -> pa.Table:

@@ -29,23 +29,19 @@ from ray_data_mplsh.stages.minhash import sig_matrix
 
 BAND_SCHEMA = pa.schema([
     ("doc_id", pa.uint64()),
-    ("band_id", pa.int32()),
     ("band_hash", pa.uint64()),
-    ("probe_rank", pa.int8()),
 ])
 
 
-def band_probe_keys(sig: np.ndarray, cfg: MPLSHConfig
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(band_id, band_hash, probe_rank) arrays of length n*b*(1+T) for an
-    (n, K) signature matrix. The (band, probe) namespace is folded into the
-    hash prefix so keys only collide within the same band and mask slot."""
+def band_probe_keys(sig: np.ndarray, cfg: MPLSHConfig) -> np.ndarray:
+    """band_hash array of length n*b*(1+T) for an (n, K) signature matrix,
+    doc-major: per doc, band 0 probes 0..T, then band 1, ... The (band,
+    probe) namespace is folded into the hash prefix so keys only collide
+    within the same band and mask slot — S5 needs no band_id/probe_rank
+    column."""
     n = sig.shape[0]
     r = cfg.rows_per_band
-    per_doc = cfg.bands * (1 + cfg.probes)
-    band_ids = np.empty((cfg.bands, 1 + cfg.probes, n), dtype=np.int32)
     hashes = np.empty((cfg.bands, 1 + cfg.probes, n), dtype=np.uint64)
-    ranks = np.empty((cfg.bands, 1 + cfg.probes, n), dtype=np.int8)
     for band in range(cfg.bands):
         slots = sig[:, band * r:(band + 1) * r]
         for t in range(cfg.probes + 1):
@@ -55,25 +51,18 @@ def band_probe_keys(sig: np.ndarray, cfg: MPLSHConfig
                 key_slots[:, t - 1] = MASK_SENTINEL
             prefix = np.uint64(band * (r + 1) + t)
             hashes[band, t] = combine_rows(key_slots, prefix=prefix)
-            band_ids[band, t] = band
-            ranks[band, t] = t
     # layout: all keys of doc 0, then doc 1, ... (transpose the doc axis last)
-    return (band_ids.transpose(2, 0, 1).reshape(-1),
-            hashes.transpose(2, 0, 1).reshape(-1),
-            ranks.transpose(2, 0, 1).reshape(-1))
+    return hashes.transpose(2, 0, 1).reshape(-1)
 
 
 def make_band_emitter(cfg: MPLSHConfig):
+    per_doc = cfg.bands * (1 + cfg.probes)
+
     def emit(batch: pa.Table) -> pa.Table:
-        sig = sig_matrix(batch)
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        band_id, band_hash, rank = band_probe_keys(sig, cfg)
-        per_doc = cfg.bands * (1 + cfg.probes)
         return pa.Table.from_arrays([
             pa.array(np.repeat(ids, per_doc), pa.uint64()),
-            pa.array(band_id, pa.int32()),
-            pa.array(band_hash, pa.uint64()),
-            pa.array(rank, pa.int8()),
+            pa.array(band_probe_keys(sig_matrix(batch), cfg), pa.uint64()),
         ], schema=BAND_SCHEMA)
 
     return emit

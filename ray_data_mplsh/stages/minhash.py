@@ -1,11 +1,11 @@
-"""S3: shingle + MinHash signatures on an actor pool (SURVEY.md ops 10-12).
+"""S3: shingle + MinHash signatures (SURVEY.md ops 10-12).
 
 ``MinHasher`` is a callable CLASS: the K permutation parameters are built
-once per actor in ``__init__`` from the seeded PCG64 (never shipped per
-batch); ``__call__`` is a fully vectorized NumPy kernel — tokenize the
-whole batch with pandas C string ops, hash words in one SipHash pass,
-Horner-roll k-shingles, broadcast-minimize over the K permutations
-(BASELINE.json:6 "vectorized NumPy kernel on actor pools").
+once per worker process in ``__init__`` from the seeded PCG64 (never
+shipped per batch); ``__call__`` is a fully vectorized NumPy kernel —
+tokenize the whole batch with pandas C string ops, hash words in one
+SipHash pass, Horner-roll k-shingles, broadcast-minimize over the K
+permutations (BASELINE.json:6 "vectorized NumPy kernel on actor pools").
 
 Signatures are ``fixed_size_list<uint64, K>`` so downstream stages view
 them zero-copy as an (n, K) NumPy matrix (SURVEY.md §1.2).
@@ -75,19 +75,11 @@ _TASK_CACHE: dict = {}
 def minhash_stage(reps, cfg: MPLSHConfig):
     """reps (doc_id, text, ...) -> sigs (doc_id, sig, n_shingles).
 
-    Default: plain TASKS with the MinHasher memoized per worker process —
+    Plain TASKS with the MinHasher memoized per worker process —
     the (a, b) param setup is microseconds, so warm task workers beat a
     fresh actor pool by its spin-up cost (measured ~40% of stage wall on
-    a 150k-doc corpus). Set ``cfg.minhash_concurrency > 0`` for the
-    explicit actor-pool schedule — the right shape when per-actor setup is
-    genuinely expensive (e.g. a model-scoring hasher variant)."""
+    a 150k-doc corpus)."""
     cols = reps.select_columns(["doc_id", "text"])
-    if cfg.minhash_concurrency > 0:
-        return cols.map_batches(
-            MinHasher, fn_constructor_args=(cfg,),
-            batch_format="pyarrow", batch_size=cfg.minhash_batch_size,
-            concurrency=(1, cfg.minhash_concurrency), num_cpus=1)
-
     key = ("minhash", cfg.digest())
 
     def fn(batch: pa.Table) -> pa.Table:

@@ -5,7 +5,8 @@ Small-side lookups (component labels, canonical ids, span intervals) are
 broadcast once via ``ray.put`` and resolved inside ``map_batches`` with
 ``np.searchsorted`` — they are orders of magnitude smaller than the corpus
 (only docs participating in dup clusters appear). Pair-text attachment for
-the substring pass follows the same broadcast-vs-join split as S6.
+the substring pass is ``shuffle.pair_apply`` — the operator behind S6 —
+with a suffix-array span kernel (``_pair_spans``).
 
 Substring semantics ([Lee22 §3], span removal): any span >= substr_len
 bytes that also occurs in an earlier (smaller doc_id) canonical doc is cut
@@ -26,12 +27,9 @@ from ray_data_mplsh.functions.hashing import winnow_fingerprints_batch
 from ray_data_mplsh.functions.suffix import (
     cross_match_intervals, merge_intervals_grouped, remove_intervals,
 )
-from ray_data_mplsh.stages.pairs import dedup_pairs, _pairs_of_runs
-from ray_data_mplsh.stages.shuffle import cached_get, group_runs, \
-    partition_apply, pool_size
-
-
-from ray_data_mplsh.stages.shuffle import gather_kv, lookup_u64
+from ray_data_mplsh.stages.pairs import _emit_pairs_fn, dedup_pairs
+from ray_data_mplsh.stages.shuffle import cached_get, gather_kv, \
+    group_runs, lookup_u64, pair_apply, partition_apply
 
 _lookup_u64 = lookup_u64  # back-compat alias
 
@@ -129,245 +127,100 @@ def _fingerprint_emitter(cfg: MPLSHConfig):
     return fn
 
 
-def _fp_pairs_fn(cap: int):
-    def fn(part: pa.Table) -> pa.Table:
-        fp = part["fp"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        ids = part["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        order, starts = group_runs(fp)
-        a, b = _pairs_of_runs(ids[order], starts, cap)
-        keep = a != b
-        a, b = a[keep], b[keep]
-        # combiner: docs sharing many k-grams repeat the same pair within
-        # this partition — dedup locally before the global pair shuffle
-        if len(a):
-            o = np.lexsort((b, a))
-            a, b = a[o], b[o]
-            first = np.concatenate(
-                ([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])))
-            a, b = a[first], b[first]
-        return pa.Table.from_arrays([pa.array(a, pa.uint64()),
-                                     pa.array(b, pa.uint64())],
-                                    names=["a", "b"])
-    return fn
+def _span_kernel(substr_len: int):
+    """pair_apply kernel over (x, y, text_x, text_y): byte intervals of
+    the LARGER doc_id covered by >= substr_len spans of the other —
+    suffix-array verification per pair. The (a, b) provenance rides
+    along so a checkpointed span can later be reused per pair
+    (incremental substring); the merge pass only reads doc_id/start/end."""
 
-
-class _SpanExtractor:
-    """Per candidate pair (x<y, texts attached): byte intervals of y covered
-    by >= substr_len spans of x — suffix-array verification per pair."""
-
-    def __init__(self, substr_len: int):
-        self.L = substr_len
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = batch["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        ta = batch["text_a"].to_pylist()
-        tb = batch["text_b"].to_pylist()
-        out_a, out_b, out_id, out_s, out_e = [], [], [], [], []
-        for x, y, tx, ty in zip(a, b, ta, tb):
+    def kernel(a, b, text_a, text_b) -> pa.Table:
+        out_a, out_b, out_s, out_e = [], [], [], []
+        for x, y, tx, ty in zip(a, b, text_a.to_pylist(),
+                                text_b.to_pylist()):
             # spans are always removed from the LARGER doc_id (deterministic)
             if x > y:
                 x, y, tx, ty = y, x, ty, tx
-            for s, e in cross_match_intervals(tx, ty, self.L):
+            for s, e in cross_match_intervals(tx, ty, substr_len):
                 out_a.append(x)
                 out_b.append(y)
-                out_id.append(y)
                 out_s.append(s)
                 out_e.append(e)
-        # (a, b) provenance rides along so a checkpointed span can later
-        # be reused per-pair (incremental substring); the merge pass only
-        # reads doc_id/start/end
+        ya = np.array(out_b, dtype=np.uint64)
         return pa.Table.from_arrays([
             pa.array(np.array(out_a, dtype=np.uint64), pa.uint64()),
-            pa.array(np.array(out_b, dtype=np.uint64), pa.uint64()),
-            pa.array(np.array(out_id, dtype=np.uint64), pa.uint64()),
+            pa.array(ya, pa.uint64()),
+            pa.array(ya, pa.uint64()),
             pa.array(out_s, pa.int64()),
             pa.array(out_e, pa.int64()),
         ], names=["a", "b", "doc_id", "start", "end"])
 
-
-def _extract_spans_broadcast(pairs, canon, cfg: MPLSHConfig):
-    """Small-corpus path, attach FUSED with span extraction (VERDICT r4
-    #8): the canonical (id, text) table is put in the object store ONCE
-    (sorted-id index + permutation, so the driver never copies the text
-    column); each span task resolves both pair sides with searchsorted
-    AND runs the suffix-array cross-match in the same map, so the
-    intermediate (a, b, text_a, text_b) table — two text copies per
-    pair, wrapped into Arrow only to be unwrapped by the extractor — is
-    never built. Per-batch text memo: a hot doc appearing in many pairs
-    of one batch decodes once. Bit-equal to attach->_SpanExtractor (the
-    pair orientation / missing-id rules are identical); bounded by
-    cfg.broadcast_max_docs."""
-    import ray
-
-    canon_batches = list(canon.iter_batches(batch_size=65536,
-                                            batch_format="pyarrow"))
-    if not canon_batches:   # empty corpus: no canonical docs, no spans
-        canon_batches = [pa.table({"doc_id": pa.array([], pa.uint64()),
-                                   "text": pa.array([], pa.string())})]
-    canon_tbl = pa.concat_tables(canon_batches)
-    ids_un = canon_tbl["doc_id"].to_numpy(zero_copy_only=False) \
-        .astype(np.uint64)
-    perm = np.argsort(ids_un, kind="stable")
-    tref = ray.put((ids_un[perm], perm.astype(np.int64),
-                    canon_tbl["text"].combine_chunks()))
-    L = cfg.substr_len
-
-    def extract(batch: pa.Table) -> pa.Table:
-        sorted_ids, perm, texts = cached_get(tref)
-        memo: dict[int, str] = {}
-
-        def text_of(x):
-            x = int(x)
-            t = memo.get(x)
-            if t is None:
-                i = int(np.searchsorted(sorted_ids, x))
-                t = texts[int(perm[i])].as_py() \
-                    if i < len(sorted_ids) and sorted_ids[i] == x else ""
-                memo[x] = t
-            return t
-
-        a = batch["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = batch["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        out_a, out_b, out_id, out_s, out_e = [], [], [], [], []
-        for x, y in zip(a, b):
-            # spans are always removed from the LARGER doc_id (deterministic)
-            if x > y:
-                x, y = y, x
-            for s, e in cross_match_intervals(text_of(x), text_of(y), L):
-                out_a.append(x)
-                out_b.append(y)
-                out_id.append(y)
-                out_s.append(s)
-                out_e.append(e)
-        # (a, b) provenance for per-pair span reuse — see _SpanExtractor
-        return pa.Table.from_arrays([
-            pa.array(np.array(out_a, dtype=np.uint64), pa.uint64()),
-            pa.array(np.array(out_b, dtype=np.uint64), pa.uint64()),
-            pa.array(np.array(out_id, dtype=np.uint64), pa.uint64()),
-            pa.array(out_s, pa.int64()),
-            pa.array(out_e, pa.int64()),
-        ], names=["a", "b", "doc_id", "start", "end"])
-
-    return pairs.map_batches(extract, batch_format="pyarrow",
-                             batch_size=512)
+    return kernel
 
 
-def _attach_texts_shuffle(pairs, canon, num_partitions: int):
-    """Scale path (n_canon > cfg.broadcast_max_docs): attach pair texts via
-    a pair-keyed exchange — the verify_stage_shuffle pattern — so NO driver
-    materialization and no full-corpus broadcast ever happens. Each text is
-    shipped once per pair occurrence; the pair hash ``pk`` is ONLY the
-    routing key (identity is the exact (a, b), same collision rule as
-    stages/verify.py combine)."""
-    from ray_data_mplsh.functions.hashing import mix64
+def _pair_spans(pairs, canon, n_canon: int, canon_bytes: int,
+                cfg: MPLSHConfig, num_partitions: int):
+    """Candidate pairs + canonical (doc_id, text) -> per-pair span rows
+    (a, b, doc_id, start, end): the span pass of both the from-scratch and
+    the incremental substring paths. Texts are broadcast when the
+    canonical set is small by doc count AND by bytes (the payload is TEXT,
+    so 100k short docs and 100k long docs are very different broadcasts),
+    otherwise they ride pair_apply's pair-keyed exchange — no driver
+    materialization at any corpus size."""
+    broadcast = n_canon <= cfg.broadcast_max_docs and \
+        canon_bytes <= cfg.substr_broadcast_max_bytes
+    return pair_apply(pairs, canon, "text", _span_kernel(cfg.substr_len),
+                      num_partitions, payload_type=pa.string(),
+                      broadcast=broadcast, batch_size=512)
 
-    def mk_requests(batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = batch["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        n = len(a)
-        return pa.Table.from_arrays([
-            pa.array(np.concatenate([a, b]), pa.uint64()),   # attach key
-            pa.array(np.concatenate([a, a]), pa.uint64()),
-            pa.array(np.concatenate([b, b]), pa.uint64()),
-            pa.array(np.concatenate([np.zeros(n, np.int8),
-                                     np.ones(n, np.int8)]), pa.int8()),
-            pa.nulls(2 * n, pa.string()),
-        ], names=["key", "a", "b", "side", "text"])
 
-    def mk_text_rows(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        n = len(ids)
-        z = pa.array(np.zeros(n, np.uint64), pa.uint64())
-        txt = batch["text"].combine_chunks()
-        return pa.Table.from_arrays([
-            pa.array(ids, pa.uint64()), z, z,
-            pa.array(np.full(n, 2, np.int8), pa.int8()), txt,
-        ], names=["key", "a", "b", "side", "text"])
+def _canon_stats(marked) -> tuple:
+    """(canonical (doc_id, text) Dataset, n_canon, canon_bytes) of a marked
+    corpus — the data-sized inputs of every substring-pass gate. n_chars
+    rides the corpus schema, so canon_bytes is a cheap column scan with no
+    text touched."""
+    canon = marked.filter(expr="is_canonical == True") \
+        .select_columns(["doc_id", "text"]).materialize()
+    schema = marked.schema()      # None for a fully empty corpus
+    if schema is not None and "n_chars" in schema.names:
+        canon_bytes = marked.select_columns(["is_canonical", "n_chars"]) \
+            .filter(expr="is_canonical == True").sum("n_chars") or 0
+    else:
+        canon_bytes = 0
+    return canon, canon.count(), int(canon_bytes)
 
-    u = pairs.select_columns(["a", "b"]) \
-        .map_batches(mk_requests, batch_format="pyarrow") \
-        .union(canon.map_batches(mk_text_rows, batch_format="pyarrow"))
 
-    def attach(part: pa.Table) -> pa.Table:
-        side = part["side"].to_numpy(zero_copy_only=False)
-        key = part["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        is_txt = side == 2
-        txt_keys = key[is_txt]
-        order = np.argsort(txt_keys, kind="stable")
-        txt_keys = txt_keys[order]
-        texts = part.filter(pa.array(is_txt))["text"].combine_chunks() \
-            .take(pa.array(order))
-        reqs = part.filter(pa.array(~is_txt))
-        q = key[~is_txt]
-        i = np.clip(np.searchsorted(txt_keys, q), 0,
-                    max(len(txt_keys) - 1, 0))
-        hit = (txt_keys[i] == q) if len(txt_keys) else np.zeros(len(q), bool)
-        reqs = reqs.filter(pa.array(hit))
-        a = reqs["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = reqs["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return pa.table({
-            "pk": pa.array(mix64(a) ^ mix64(b), pa.uint64()),
-            "a": reqs["a"], "b": reqs["b"], "side": reqs["side"],
-            "text": texts.take(pa.array(i[hit])),
-        })
-
-    att = partition_apply(u, "key", attach, num_partitions)
-
-    def combine(part: pa.Table) -> pa.Table:
-        side = part["side"].to_numpy(zero_copy_only=False)
-        a = part["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = part["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        order = np.lexsort((side, b, a))
-        sa, sb, ss = a[order], b[order], side[order]
-        new = np.concatenate(([True], (sa[1:] != sa[:-1]) |
-                              (sb[1:] != sb[:-1])))
-        starts = np.flatnonzero(new)
-        starts = np.concatenate([starts, [len(sa)]])
-        full = starts[:-1][np.diff(starts) == 2]
-        full = full[(ss[full] == 0) & (ss[full + 1] == 1)]
-        i0, i1 = order[full], order[full + 1]
-        texts = part["text"].combine_chunks()
-        return pa.table({
-            "a": pa.array(a[i0], pa.uint64()),
-            "b": pa.array(b[i0], pa.uint64()),
-            "text_a": texts.take(pa.array(i0)),
-            "text_b": texts.take(pa.array(i1)),
-        })
-
-    return partition_apply(att, "pk", combine, num_partitions)
+def _fingerprints(docs, n_canon: int, canon_bytes: int, cfg: MPLSHConfig):
+    """(doc_id, text) -> winnow (fp, doc_id) rows. LARGE corpora only:
+    bundle the emitter's input so its OUTPUT blocks are few and big —
+    upstream stages leave the corpus in ~rows/256 slivers, and a
+    sort-exchange pays one shuffle object per (block x partition); 256
+    blocks x 64 partitions measured 2-3x slower than 64 x 64 on the
+    150k-doc scaling fixture (16cpu leg 71.3s -> 47.5s). Sized by BYTES
+    (~32 MB of text per bundle — docs vary 100x in length); small corpora
+    keep the unbundled plan, whose many tiny tasks pipeline better when
+    the whole stage is fixed-overhead-bound. The gate is a pure function
+    of the (canonical-set) data, never the cluster — the scaling-bench
+    invariant."""
+    if n_canon >= BUNDLE_MIN_DOCS and canon_bytes >= BUNDLE_MIN_BYTES:
+        avg_doc = max(1, canon_bytes // max(n_canon, 1))
+        fp_bs = int(min(8192, max(512, BUNDLE_MIN_BYTES // avg_doc)))
+        return docs.map_batches(_fingerprint_emitter(cfg),
+                                batch_format="pyarrow", batch_size=fp_bs)
+    return docs.map_batches(_fingerprint_emitter(cfg),
+                            batch_format="pyarrow")
 
 
 def substring_stage(dedup_out, cfg: MPLSHConfig, num_partitions: int):
     """canonical docs -> final_text rewrites (op 24). Returns dedup_out with
     ``final_text`` (null for non-canonical docs) and updated is_canonical.
-
-    Pair-text attachment is gated on ``cfg.broadcast_max_docs`` exactly
-    like S6 verification: below the threshold the attach is FUSED with
-    span extraction over a broadcast text index
-    (``_extract_spans_broadcast``), above it texts ride the pair-keyed
-    shuffle (``_attach_texts_shuffle``) into ``_SpanExtractor`` — both
-    proven byte-identical by tests/test_suffix.py."""
-    import ray
-
+    Pair texts attach through ``_pair_spans`` (broadcast or pair-keyed
+    exchange, byte-identical — pinned by tests/test_pipeline_e2e.py)."""
     # dedup_out (the marked corpus) feeds three consumers: the fingerprint
     # pass, the pair-text attach and the final rewrite. Materialize once
     # so the upstream chain doesn't re-execute per consumer.
     dedup_out = dedup_out.materialize()
-    canon = dedup_out.filter(expr="is_canonical == True") \
-        .select_columns(["doc_id", "text"]).materialize()
-    n_canon = canon.count()
-    # byte-based gate in addition to the doc-count gate: the broadcast
-    # payload here is TEXT, so 100k short docs and 100k long docs are very
-    # different broadcasts. n_chars rides the corpus schema — summing it is
-    # a cheap column scan, no text touched.
-    schema = dedup_out.schema()      # None for a fully empty corpus
-    if schema is not None and "n_chars" in schema.names:
-        canon_bytes = dedup_out \
-            .select_columns(["is_canonical", "n_chars"]) \
-            .filter(expr="is_canonical == True").sum("n_chars") or 0
-    else:
-        canon_bytes = 0
+    canon, n_canon, canon_bytes = _canon_stats(dedup_out)
     # winnow density is ~1 fingerprint per 45 chars at the default
     # (k, w), so canon_bytes // 45 estimates the bucket exchange's row
     # count. Hybrid split (the dedup_pairs pattern): a Ray sort-shuffle
@@ -379,26 +232,9 @@ def substring_stage(dedup_out, cfg: MPLSHConfig, num_partitions: int):
     # tests/test_suffix.py). Web-scale fingerprint volumes take the
     # size-adapted exchange.
     from ray_data_mplsh.stages.shuffle import sized_partitions
-    est_rows = max(n_canon, int(canon_bytes) // 45)
+    est_rows = max(n_canon, canon_bytes // 45)
     pe = sized_partitions(est_rows, num_partitions)
-    # LARGE corpora only: bundle the emitter's input so its OUTPUT
-    # blocks are few and big — upstream stages leave the corpus in
-    # ~rows/256 slivers, and a sort-exchange pays one shuffle object
-    # per (block x partition); 256 blocks x 64 partitions measured
-    # 2-3x slower than 64 x 64 on the 150k-doc scaling fixture
-    # (16cpu leg 71.3s -> 47.5s). Sized by BYTES (~32 MB of text per
-    # bundle — docs vary 100x in length); small corpora keep the
-    # unbundled plan, whose many tiny tasks pipeline better when the
-    # whole stage is fixed-overhead-bound. The gate is a pure function
-    # of the data, never the cluster (the scaling-bench invariant).
-    if n_canon >= BUNDLE_MIN_DOCS and int(canon_bytes) >= BUNDLE_MIN_BYTES:
-        avg_doc = max(1, int(canon_bytes) // max(n_canon, 1))
-        fp_bs = int(min(8192, max(512, BUNDLE_MIN_BYTES // avg_doc)))
-        fps = canon.map_batches(_fingerprint_emitter(cfg),
-                                batch_format="pyarrow", batch_size=fp_bs)
-    else:
-        fps = canon.map_batches(_fingerprint_emitter(cfg),
-                                batch_format="pyarrow")
+    fps = _fingerprints(canon, n_canon, canon_bytes, cfg)
     # with checkpointing on, persist the substring internals too: the
     # fingerprints and per-pair spans are pure functions of (text, cfg),
     # so an incremental run can reuse them verbatim (incremental.py) and
@@ -407,7 +243,7 @@ def substring_stage(dedup_out, cfg: MPLSHConfig, num_partitions: int):
         from ray_data_mplsh.state.checkpoint import read_stage_or_compute
         _fps_lazy = fps
         fps = read_stage_or_compute(cfg, "substr_fps", lambda: _fps_lazy)
-    pfn = _fp_pairs_fn(cfg.substr_bucket_cap)
+    pfn = _emit_pairs_fn("fp", cfg.substr_bucket_cap)
     local_fp = False
     if est_rows <= cfg.local_state_max_rows:
         fmat = fps.materialize()
@@ -419,9 +255,9 @@ def substring_stage(dedup_out, cfg: MPLSHConfig, num_partitions: int):
             tbl = pa.concat_tables(batches) if batches else pa.table(
                 {"fp": pa.array([], pa.uint64()),
                  "doc_id": pa.array([], pa.uint64())})
-            # pfn's internal combiner lexsorts + uniques the pair list,
-            # and here its "partition" is the whole set — the output is
-            # already globally deduped, no dedup_pairs pass needed
+            # pfn's internal combiner uniques the pair list, and here its
+            # "partition" is the whole set — the output is already
+            # globally deduped, no dedup_pairs pass needed
             pairs = from_arrow_blocks(pfn(tbl), target_rows=2048)
             local_fp = True
         else:
@@ -436,14 +272,8 @@ def substring_stage(dedup_out, cfg: MPLSHConfig, num_partitions: int):
         pairs = read_stage_or_compute(cfg, "substr_pairs",
                                       lambda: _pairs_lazy)
 
-    if n_canon <= cfg.broadcast_max_docs and \
-            canon_bytes <= cfg.substr_broadcast_max_bytes:
-        spans = _extract_spans_broadcast(pairs, canon, cfg)
-    else:
-        withtexts = _attach_texts_shuffle(pairs, canon, num_partitions)
-        spans = withtexts.map_batches(_SpanExtractor(cfg.substr_len),
-                                      batch_format="pyarrow",
-                                      batch_size=512)
+    spans = _pair_spans(pairs, canon, n_canon, canon_bytes, cfg,
+                       num_partitions)
     if cfg.ckpt_dir:
         from ray_data_mplsh.state.checkpoint import read_stage_or_compute
         _spans_lazy = spans

@@ -78,25 +78,32 @@ def _pairs_of_runs(ids: np.ndarray, starts: np.ndarray, cap: int,
     return np.concatenate(out_a), np.concatenate(out_b)
 
 
-def _emit_pairs_fn(cap: int):
+def unique_pair_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row indices of the first occurrence of each distinct (a, b), in
+    (a, b) order — an exact lexsort, not a hashed key (a key collision
+    would DROP a distinct pair)."""
+    o = np.lexsort((b, a))
+    if len(o) == 0:
+        return o
+    sa, sb = a[o], b[o]
+    return o[np.concatenate(([True], (sa[1:] != sa[:-1]) |
+                             (sb[1:] != sb[:-1])))]
+
+
+def _emit_pairs_fn(key_col: str, cap: int):
+    """Per partition: group rows by ``key_col`` (S5 ``band_hash``, S9
+    winnow ``fp``) and emit each bucket's pairs, locally deduped (cheap;
+    the global dedup happens in dedup_pairs)."""
     def fn(part: pa.Table) -> pa.Table:
-        bh = part["band_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        key = part[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
         ids = part["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        order, starts = group_runs(bh)
+        order, starts = group_runs(key)
         a, b = _pairs_of_runs(ids[order], starts, cap)
         keep = a != b
         a, b = a[keep], b[keep]
-        # local dedup (cheap; global dedup happens in dedup_pairs) —
-        # exact lexsort, not a hashed key (a key collision would DROP a
-        # distinct pair)
-        if len(a):
-            o = np.lexsort((b, a))
-            a, b = a[o], b[o]
-            first = np.concatenate(
-                ([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])))
-            a, b = a[first], b[first]
-        return pa.Table.from_arrays([pa.array(a, pa.uint64()),
-                                     pa.array(b, pa.uint64())],
+        u = unique_pair_rows(a, b)
+        return pa.Table.from_arrays([pa.array(a[u], pa.uint64()),
+                                     pa.array(b[u], pa.uint64())],
                                     schema=PAIRS_SCHEMA)
     return fn
 
@@ -138,11 +145,11 @@ def _shard_min_emit(part: pa.Table) -> pa.Table:
 
 
 def pairs_stage(band_keys, cfg: MPLSHConfig, num_partitions: int):
-    """band_keys (doc_id, band_id, band_hash, probe_rank) -> pairs (a, b)."""
+    """band_keys (doc_id, band_hash) -> pairs (a, b)."""
+    emit = _emit_pairs_fn("band_hash", cfg.bucket_cap)
     if cfg.salt_shards > 1:
         salted = band_keys.map_batches(_add_salt(cfg), batch_format="pyarrow")
-        within = partition_apply(salted, "band_hash",
-                                 _emit_pairs_fn(cfg.bucket_cap),
+        within = partition_apply(salted, "band_hash", emit,
                                  num_partitions, salt_col="salt")
         minima = partition_apply(salted, "band_hash", _shard_min_emit,
                                  num_partitions, salt_col="salt")
@@ -150,8 +157,7 @@ def pairs_stage(band_keys, cfg: MPLSHConfig, num_partitions: int):
                                 num_partitions)
         pairs = within.union(cross)
     else:
-        pairs = partition_apply(band_keys, "band_hash",
-                                _emit_pairs_fn(cfg.bucket_cap),
+        pairs = partition_apply(band_keys, "band_hash", emit,
                                 num_partitions)
     return dedup_pairs(pairs, num_partitions,
                        local_max_rows=cfg.local_state_max_rows)
@@ -168,12 +174,7 @@ def _unique_pairs(part: pa.Table) -> pa.Table:
     # merely co-locate; deduping BY pk could drop a distinct pair)
     a = part["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
     b = part["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    if len(a) == 0:
-        return part.drop_columns(["pk"])
-    o = np.lexsort((b, a))
-    first = np.concatenate(
-        ([True], (a[o][1:] != a[o][:-1]) | (b[o][1:] != b[o][:-1])))
-    return part.take(np.sort(o[first])).drop_columns(["pk"])
+    return part.take(np.sort(unique_pair_rows(a, b))).drop_columns(["pk"])
 
 
 def dedup_pairs(pairs, num_partitions: int, *, local_max_rows: int = 0):
@@ -196,12 +197,8 @@ def dedup_pairs(pairs, num_partitions: int, *, local_max_rows: int = 0):
                           .astype(np.uint64))
             a = np.concatenate(ak) if ak else np.empty(0, np.uint64)
             b = np.concatenate(bk) if bk else np.empty(0, np.uint64)
-            if len(a):
-                o = np.lexsort((b, a))
-                a, b = a[o], b[o]
-                first = np.concatenate(
-                    ([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])))
-                a, b = a[first], b[first]
+            u = unique_pair_rows(a, b)
+            a, b = a[u], b[u]
             from ray_data_mplsh.stages.shuffle import from_arrow_blocks
 
             return from_arrow_blocks(pa.Table.from_arrays(

@@ -103,6 +103,131 @@ def partition_apply(ds, key_col: str, fn: Callable[[pa.Table], pa.Table],
     return parted.groupby("_part").map_groups(per_part, batch_format="pyarrow")
 
 
+def _u64(t: pa.Table, col: str) -> np.ndarray:
+    return t[col].to_numpy(zero_copy_only=False).astype(np.uint64)
+
+
+def pair_apply(pairs, side, col: str, kernel, num_partitions: int, *,
+               payload_type: pa.DataType, broadcast: bool, batch_size: int):
+    """The verify step of an LSH similarity join, shared by S6 verify, the
+    S9 substring span pass and exact n-gram Jaccard: run
+    ``kernel(a, b, col_a, col_b) -> pa.Table`` over the (a, b) rows of
+    ``pairs``, where ``col_a`` / ``col_b`` are each end's ``side[col]``
+    payload (Arrow arrays of ``payload_type``, looked up by ``doc_id``)
+    and ``a`` / ``b`` are uint64 numpy arrays. A pair with an end absent
+    from ``side`` never reaches the kernel. Every side row's payload is
+    cast to ``payload_type``, so sides unioned from differently-typed
+    sources (a checkpoint read and a fresh stage) attach uniformly.
+
+    Precondition: each (a, b) appears in ``pairs`` at most once — the
+    exchange plan keeps a pair only with exactly one row per end (a
+    repeated pair is dropped), while the broadcast plan would run it
+    twice.
+
+    * ``broadcast``: ``side`` is gathered on the driver and put in the
+      object store ONCE as (sorted ids, permutation, payload) — the
+      permutation indirects lookups, so the payload is never reordered on
+      the driver; each task reads it with ``cached_get``, resolves both
+      ends with searchsorted and runs the kernel in the same
+      ``map_batches`` (``batch_size`` pairs per call).
+    * exchange (no driver materialization, no size cap): one request row
+      per pair end (null payload) meets the side rows in a doc-keyed
+      attach; attached ends are then routed by ``mix64(a) ^ mix64(b)`` —
+      a routing key only: pair identity is the exact (a, b), so a hash
+      collision merely co-locates — and the combine runs the kernel once
+      per partition.
+    """
+    def payload(t: pa.Table) -> pa.Array:
+        arr = t[col].combine_chunks()
+        return arr if arr.type == payload_type else arr.cast(payload_type)
+
+    if broadcast:
+        import ray
+
+        ids_l, pay_l = [], []
+        for t in side.iter_batches(batch_size=65536, batch_format="pyarrow"):
+            ids_l.append(_u64(t, "doc_id"))
+            pay_l.append(payload(t))
+        ids = np.concatenate(ids_l) if ids_l else np.empty(0, np.uint64)
+        perm = np.argsort(ids, kind="stable")
+        ref = ray.put((ids[perm], perm, pa.concat_arrays(pay_l) if pay_l
+                       else pa.array([], payload_type)))
+
+        def lookup(batch: pa.Table) -> pa.Table:
+            sids, sperm, pay = cached_get(ref)
+            a, b = _u64(batch, "a"), _u64(batch, "b")
+            last = max(len(sids) - 1, 0)
+            ia = np.clip(np.searchsorted(sids, a), 0, last)
+            ib = np.clip(np.searchsorted(sids, b), 0, last)
+            ok = (sids[ia] == a) & (sids[ib] == b) if len(sids) \
+                else np.zeros(len(a), bool)
+            return kernel(a[ok], b[ok], pay.take(pa.array(sperm[ia[ok]])),
+                          pay.take(pa.array(sperm[ib[ok]])))
+
+        return pairs.map_batches(lookup, batch_format="pyarrow",
+                                 batch_size=batch_size)
+
+    names = ["key", "a", "b", "side", "payload"]
+
+    def requests(t: pa.Table) -> pa.Table:
+        a, b = _u64(t, "a"), _u64(t, "b")
+        n = len(a)
+        return pa.Table.from_arrays([
+            pa.array(np.concatenate([a, b]), pa.uint64()),
+            pa.array(np.concatenate([a, a]), pa.uint64()),
+            pa.array(np.concatenate([b, b]), pa.uint64()),
+            pa.array(np.repeat(np.array([0, 1], np.int8), n), pa.int8()),
+            pa.nulls(2 * n, payload_type),
+        ], names=names)
+
+    def side_rows(t: pa.Table) -> pa.Table:
+        n = t.num_rows
+        z = pa.array(np.zeros(n, np.uint64), pa.uint64())
+        return pa.Table.from_arrays([
+            pa.array(_u64(t, "doc_id"), pa.uint64()), z, z,
+            pa.array(np.full(n, 2, np.int8), pa.int8()), payload(t),
+        ], names=names)
+
+    def attach(part: pa.Table) -> pa.Table:
+        key = _u64(part, "key")
+        is_side = part["side"].to_numpy(zero_copy_only=False) == 2
+        skeys = key[is_side]
+        order = np.argsort(skeys, kind="stable")
+        skeys = skeys[order]
+        pay = part["payload"].filter(pa.array(is_side)).combine_chunks() \
+            .take(pa.array(order))
+        reqs = part.filter(pa.array(~is_side))
+        q = key[~is_side]
+        i = np.clip(np.searchsorted(skeys, q), 0, max(len(skeys) - 1, 0))
+        hit = (skeys[i] == q) if len(skeys) else np.zeros(len(q), bool)
+        reqs = reqs.filter(pa.array(hit))
+        a, b = _u64(reqs, "a"), _u64(reqs, "b")
+        return pa.table({"pk": pa.array(mix64(a) ^ mix64(b), pa.uint64()),
+                         "a": reqs["a"], "b": reqs["b"],
+                         "side": reqs["side"],
+                         "payload": pay.take(pa.array(i[hit]))})
+
+    def combine(part: pa.Table) -> pa.Table:
+        side_ = part["side"].to_numpy(zero_copy_only=False)
+        a, b = _u64(part, "a"), _u64(part, "b")
+        order = np.lexsort((side_, b, a))
+        sa, sb, ss = a[order], b[order], side_[order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], (sa[1:] != sa[:-1]) | (sb[1:] != sb[:-1]))))
+        starts = np.concatenate([starts, [len(sa)]])
+        full = starts[:-1][np.diff(starts) == 2]   # two rows for this (a, b)
+        full = full[(ss[full] == 0) & (ss[full + 1] == 1)]  # one per end
+        i0, i1 = order[full], order[full + 1]
+        pay = part["payload"].combine_chunks()
+        return kernel(a[i0], b[i0], pay.take(pa.array(i0)),
+                      pay.take(pa.array(i1)))
+
+    u = pairs.map_batches(requests, batch_format="pyarrow").union(
+        side.map_batches(side_rows, batch_format="pyarrow"))
+    att = partition_apply(u, "key", attach, num_partitions)
+    return partition_apply(att, "pk", combine, num_partitions)
+
+
 def lookup_u64(sorted_keys: np.ndarray, vals: np.ndarray, q: np.ndarray,
                default: np.ndarray) -> np.ndarray:
     """Vectorized sorted-array lookup with per-row default."""

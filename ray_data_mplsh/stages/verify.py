@@ -2,21 +2,16 @@
 (SURVEY.md ops 17-18; BASELINE.json:6 "verified by exact Jaccard over
 signatures").
 
-Two physical plans, chosen by corpus size (SURVEY.md §4.3 "broadcast small
-sides with ray.put + lookup inside map_batches instead of a shuffle join"):
-
-* **broadcast** (n_docs <= cfg.broadcast_max_docs): the (sorted doc_id
-  array, (n,K) sig matrix) pair is put in the object store ONCE; every
-  verifier actor maps it zero-copy in ``__init__`` and resolves both sides
-  of each pair with np.searchsorted — no shuffle at all.
-* **shuffle** (scale path): a padded union of pair-requests and signature
-  rows, coarse-partitioned by doc_id to attach each side's signature, then
-  re-partitioned by pair key to combine the two sides — two sort-shuffles,
-  no driver materialization, signatures shipped exactly once per pair
-  occurrence. (Ray 2.49's native hash-shuffle ``Dataset.join`` exists and
-  ``verify_stage_join`` uses it, but its aggregator actor pool was observed
-  to stall on small CPU budgets, so the hand-built exchange is the
-  default scale path.)
+The signature attach is ``shuffle.pair_apply`` with an est-Jaccard kernel,
+and the plan is chosen by corpus size (SURVEY.md §4.3 "broadcast small
+sides with ray.put + lookup inside map_batches instead of a shuffle
+join"): at or under ``cfg.broadcast_max_docs`` signatures the (sorted
+ids, permutation, sig column) payload is put in the object store once and
+resolved per batch with searchsorted; above it the signatures ride the
+two-hop pair-keyed exchange — no driver materialization, each signature
+shipped once per pair occurrence. (Ray 2.49's native hash-shuffle
+``Dataset.join`` was tried as a third plan, but its aggregator actor pool
+was observed to stall on small CPU budgets.)
 
 est-Jaccard = mean(sig_a == sig_b) over K; pairs kept when
 est >= theta - verify_margin (margin absorbs the K=128 estimator noise so
@@ -25,228 +20,39 @@ true-J >= theta pairs survive w.p. ~1; SURVEY.md §A.1).
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 from ray_data_mplsh.config import MPLSHConfig
-from ray_data_mplsh.stages.minhash import sig_matrix
 
 VERIFIED_SCHEMA = pa.schema([
     ("a", pa.uint64()), ("b", pa.uint64()), ("jaccard", pa.float64())])
 
 
-def gather_sigs(sigs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Materialize a sigs Dataset to (sorted ids, permutation, matrix) —
-    the broadcast-side payload. The matrix stays in iteration order; the
-    permutation indirects lookups, which avoids a full reorder copy of the
-    (n, K) matrix on the driver (it is the largest driver-touched buffer).
-    """
-    ids_parts, mats = [], []
-    for batch in sigs.iter_batches(batch_size=8192, batch_format="pyarrow"):
-        ids_parts.append(batch["doc_id"].to_numpy(zero_copy_only=False)
-                         .astype(np.uint64))
-        mats.append(sig_matrix(batch))
-    if not ids_parts:
-        e = np.empty(0, np.uint64)
-        return e, np.empty(0, np.int64), np.empty((0, 0), np.uint64)
-    ids = np.concatenate(ids_parts)
-    mat = np.vstack(mats)
-    order = np.argsort(ids, kind="stable").astype(np.int64)
-    return ids[order], order, mat
-
-
-def _verify_kernel(a, b, mat_a, mat_b, theta):
-    est = (mat_a == mat_b).mean(axis=1)
-    keep = est >= theta
-    return pa.Table.from_arrays([
-        pa.array(a[keep], pa.uint64()),
-        pa.array(b[keep], pa.uint64()),
-        pa.array(est[keep], pa.float64()),
-    ], schema=VERIFIED_SCHEMA)
-
-
-class BroadcastVerifier:
-    """Sig lookup against the broadcast (sorted ids, perm, matrix)."""
-
-    def __init__(self, sig_ref, theta: float):
-        import ray
-        self.ids, self.perm, self.mat = ray.get(sig_ref)  # zero-copy views
-        self.theta = theta
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = batch["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        ia = np.searchsorted(self.ids, a)
-        ib = np.searchsorted(self.ids, b)
-        # guard: pairs referencing unknown ids (shouldn't happen) are dropped
-        ok = (ia < len(self.ids)) & (ib < len(self.ids))
-        ia, ib = np.clip(ia, 0, len(self.ids) - 1), np.clip(ib, 0, len(self.ids) - 1)
-        ok &= (self.ids[ia] == a) & (self.ids[ib] == b)
-        return _verify_kernel(a[ok], b[ok], self.mat[self.perm[ia[ok]]],
-                              self.mat[self.perm[ib[ok]]], self.theta)
-
-
-def verify_stage_broadcast(pairs, sigs, cfg: MPLSHConfig):
-    """Broadcast verify as plain TASKS: the (ids, matrix) payload is
-    zero-copy numpy out of the object store and cached per worker
-    (shuffle.cached_get), so warm task workers beat a fresh actor pool."""
-    import ray
-
-    from ray_data_mplsh.stages.shuffle import cached_get
-
-    sig_ref = ray.put(gather_sigs(sigs))
-    theta = cfg.verify_theta
-
-    def verify(batch: pa.Table) -> pa.Table:
-        v = BroadcastVerifier.__new__(BroadcastVerifier)
-        v.ids, v.perm, v.mat = cached_get(sig_ref)
-        v.theta = theta
-        return v(batch)
-
-    return pairs.map_batches(verify, batch_format="pyarrow",
-                             batch_size=65536)
-
-
-def verify_stage_join(pairs, sigs, cfg: MPLSHConfig, num_partitions: int):
-    """Ray-native Dataset.join variant (op 17): signatures ride as
-    fixed_size_binary payloads — Acero's hash join rejects
-    fixed_size_list non-key fields, and the binary re-encode is a
-    zero-copy buffer view both ways."""
-    K = cfg.num_perm
-
-    def to_bin(name):
-        def f(t: pa.Table) -> pa.Table:
-            mat = sig_matrix(t)
-            buf = pa.py_buffer(np.ascontiguousarray(mat).tobytes())
-            arr = pa.Array.from_buffers(pa.binary(K * 8), len(mat),
-                                        [None, buf])
-            return pa.table({name[0]: t["doc_id"], name[1]: arr})
-        return f
-
-    sig_a = sigs.map_batches(to_bin(("a", "sig_a")), batch_format="pyarrow")
-    sig_b = sigs.map_batches(to_bin(("b", "sig_b")), batch_format="pyarrow")
-    j = pairs.join(sig_a, "inner", num_partitions, on=("a",))
-    j = j.join(sig_b, "inner", num_partitions, on=("b",))
-
-    def from_bin(col, t: pa.Table) -> np.ndarray:
-        # zero-copy view of the fixed_size_binary data buffer (slots are
-        # contiguous K*8-byte strides, offset-adjusted for slices) —
-        # symmetric with to_bin's buffer build, no per-row Python objects
-        arr = t[col]
-        if isinstance(arr, pa.ChunkedArray):
-            arr = arr.combine_chunks()
-        if len(arr) == 0:
-            return np.empty((0, K), np.uint64)
-        return np.frombuffer(arr.buffers()[1], dtype=np.uint64,
-                             count=len(arr) * K,
-                             offset=arr.offset * K * 8).reshape(-1, K)
-
-    def kernel(batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = batch["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return _verify_kernel(a, b, from_bin("sig_a", batch),
-                              from_bin("sig_b", batch), cfg.verify_theta)
-
-    return j.map_batches(kernel, batch_format="pyarrow")
-
-
-def verify_stage_shuffle(pairs, sigs, cfg: MPLSHConfig, num_partitions: int):
-    """Scale path: attach signatures by shuffle, no broadcast, no driver
-    materialization."""
-    import numpy as np
-
-    from ray_data_mplsh.functions.hashing import mix64
-    from ray_data_mplsh.stages.shuffle import group_runs, partition_apply
-
-    K = cfg.num_perm
-    sig_t = pa.list_(pa.uint64(), K)
-    null_sig = pa.nulls(0, sig_t)  # template type only
-
-    def mk_requests(batch: pa.Table) -> pa.Table:
-        a = batch["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = batch["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        pk = mix64(a) ^ mix64(b)
-        n = len(a)
+def _verify_kernel(K: int, theta: float):
+    def kernel(a, b, sig_a, sig_b) -> pa.Table:
+        mat_a = sig_a.flatten().to_numpy(zero_copy_only=False).reshape(-1, K)
+        mat_b = sig_b.flatten().to_numpy(zero_copy_only=False).reshape(-1, K)
+        est = (mat_a == mat_b).mean(axis=1)
+        keep = est >= theta
         return pa.Table.from_arrays([
-            pa.array(np.concatenate([a, b]), pa.uint64()),          # key
-            pa.array(np.concatenate([pk, pk]), pa.uint64()),
-            pa.array(np.concatenate([a, a]), pa.uint64()),
-            pa.array(np.concatenate([b, b]), pa.uint64()),
-            pa.array(np.concatenate([np.zeros(n, np.int8),
-                                     np.ones(n, np.int8)]), pa.int8()),
-            pa.nulls(2 * n, sig_t),
-        ], names=["key", "pk", "a", "b", "side", "sig"])
-
-    def mk_sig_rows(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        n = len(ids)
-        z = pa.array(np.zeros(n, np.uint64), pa.uint64())
-        sig_col = batch["sig"].combine_chunks()
-        if sig_col.type != sig_t:
-            sig_col = sig_col.cast(sig_t)
-        return pa.Table.from_arrays([
-            pa.array(ids, pa.uint64()), z, z, z,
-            pa.array(np.full(n, 2, np.int8), pa.int8()),
-            sig_col,
-        ], names=["key", "pk", "a", "b", "side", "sig"])
-
-    req = pairs.map_batches(mk_requests, batch_format="pyarrow")
-    sg = sigs.select_columns(["doc_id", "sig"]).map_batches(
-        mk_sig_rows, batch_format="pyarrow")
-    u = req.union(sg)
-
-    def attach(part: pa.Table) -> pa.Table:
-        side = part["side"].to_numpy(zero_copy_only=False)
-        key = part["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        is_sig = side == 2
-        sig_keys = key[is_sig]
-        order = np.argsort(sig_keys)
-        sig_keys = sig_keys[order]
-        mat = sig_matrix(part.filter(pa.array(is_sig)))[order] \
-            if is_sig.any() else np.empty((0, K), np.uint64)
-        reqs = part.filter(pa.array(~is_sig))
-        q = key[~is_sig]
-        i = np.clip(np.searchsorted(sig_keys, q), 0,
-                    max(len(sig_keys) - 1, 0))
-        hit = (len(sig_keys) > 0) & (sig_keys[i] == q) if len(sig_keys) \
-            else np.zeros(len(q), bool)
-        reqs = reqs.filter(pa.array(hit))
-        flat = mat[i[hit]].reshape(-1)
-        sig_arr = pa.FixedSizeListArray.from_arrays(
-            pa.array(flat, pa.uint64()), K)
-        return pa.table({"pk": reqs["pk"], "a": reqs["a"], "b": reqs["b"],
-                         "side": reqs["side"], "sig": sig_arr})
-
-    att = partition_apply(u, "key", attach, num_partitions)
-
-    def combine(part: pa.Table) -> pa.Table:
-        # pk is ONLY the routing key: distinct pairs may collide on the
-        # 64-bit mix at the 10^12-doc scale target, so pair identity is the
-        # exact (a, b) — sub-group on it and demand exactly one side-0 and
-        # one side-1 row per pair before emitting.
-        side = part["side"].to_numpy(zero_copy_only=False)
-        a = part["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = part["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        mat = sig_matrix(part)
-        order = np.lexsort((side, b, a))
-        sa, sb, ss = a[order], b[order], side[order]
-        new = np.concatenate(([True], (sa[1:] != sa[:-1]) |
-                              (sb[1:] != sb[:-1])))
-        starts = np.flatnonzero(new)
-        starts = np.concatenate([starts, [len(sa)]])
-        sizes = np.diff(starts)
-        full = starts[:-1][sizes == 2]   # exactly two rows for this (a, b)
-        full = full[(ss[full] == 0) & (ss[full + 1] == 1)]  # one per side
-        i0 = order[full]
-        i1 = order[full + 1]
-        return _verify_kernel(a[i0], b[i0], mat[i0], mat[i1],
-                              cfg.verify_theta)
-
-    return partition_apply(att, "pk", combine, num_partitions)
+            pa.array(a[keep], pa.uint64()),
+            pa.array(b[keep], pa.uint64()),
+            pa.array(est[keep], pa.float64()),
+        ], schema=VERIFIED_SCHEMA)
+    return kernel
 
 
 def verify_stage(pairs, sigs, cfg: MPLSHConfig, num_partitions: int,
                  n_docs: int | None = None):
-    if n_docs is not None and n_docs > cfg.broadcast_max_docs:
-        return verify_stage_shuffle(pairs, sigs, cfg, num_partitions)
-    return verify_stage_broadcast(pairs, sigs, cfg)
+    """pairs (a, b) + sigs (doc_id, sig) -> verified (a, b, jaccard). The
+    sig column is cast to ``fixed_size_list<uint64, num_perm>``: a base
+    checkpoint read and a fresh MinHash stage (the incremental fold's
+    union) may differ in list field naming."""
+    from ray_data_mplsh.stages.shuffle import pair_apply
+
+    broadcast = n_docs is None or n_docs <= cfg.broadcast_max_docs
+    return pair_apply(pairs, sigs, "sig",
+                      _verify_kernel(cfg.num_perm, cfg.verify_theta),
+                      num_partitions,
+                      payload_type=pa.list_(pa.uint64(), cfg.num_perm),
+                      broadcast=broadcast, batch_size=65536)

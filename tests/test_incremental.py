@@ -103,6 +103,31 @@ def test_incremental_substring_forced_shuffle(ray_session, small_fixture,
     assert inc_ft == ref_ft
 
 
+def test_incremental_substring_reuse_forced_shuffle(ray_session,
+                                                    small_fixture, tmp_path):
+    """Reuse path (base kept its substring checkpoints) with the BYTE gate
+    forcing the exchange text attach for the fresh pairs: final_text per
+    canonical matches the from-scratch joint run byte for byte."""
+    s1, s2, joint = _shards(small_fixture)
+    cfg = MPLSHConfig(ckpt_dir=str(tmp_path), run_id="base",
+                      substr_broadcast_max_bytes=0)
+    run_dedup(s1, cfg, extract=True, skip_substring=False)
+    inc_cfg = dataclasses.replace(cfg, run_id="incr")
+    inc = run_dedup_incremental(s2, inc_cfg, base_run_id="base",
+                                extract=True, skip_substring=False)
+    assert inc.counters["substr_incremental"]
+    assert inc.counters["n_substr_pairs_fresh"] > 0
+    ref = run_dedup(joint, MPLSHConfig(substr_broadcast_max_bytes=0),
+                    extract=True, skip_substring=False)
+    inc_out = inc.dedup_out.to_pandas()
+    ref_out = ref.dedup_out.to_pandas()
+    inc_ft = dict(zip(inc_out[inc_out["is_canonical"]]["doc_id"].tolist(),
+                      inc_out[inc_out["is_canonical"]]["final_text"]))
+    ref_ft = dict(zip(ref_out[ref_out["is_canonical"]]["doc_id"].tolist(),
+                      ref_out[ref_out["is_canonical"]]["final_text"]))
+    assert inc_ft == ref_ft
+
+
 def test_incremental_requires_valid_base(ray_session, small_fixture,
                                          tmp_path):
     _, s2, _ = _shards(small_fixture)

@@ -61,7 +61,7 @@ def test_shuffle_path_equals_broadcast_path(ray_session, small_fixture):
     docs, pairs, docs_tbl = _docs_and_pairs(ray_session, small_fixture)
     bc = exact_jaccard_pairs(pairs, docs, cfg).to_pandas() \
         .sort_values(["a", "b"]).reset_index(drop=True)
-    sh = exact_jaccard_pairs(pairs, docs, cfg, force_shuffle=True,
+    sh = exact_jaccard_pairs(pairs, docs, MPLSHConfig(broadcast_max_docs=0),
                              num_partitions=4).to_pandas() \
         .sort_values(["a", "b"]).reset_index(drop=True)
     assert len(bc) == len(sh) > 0

@@ -100,33 +100,6 @@ def test_salted_path_equivalent(ray_session, small_fixture, small_oracle):
     assert pipe == small_oracle.clusters
 
 
-def test_join_verify_path_equivalent(ray_session, small_fixture,
-                                     small_oracle):
-    """The Ray-native Dataset.join sig-attach variant (op 17) agrees with
-    the broadcast path."""
-    import ray.data as rd
-
-    from ray_data_mplsh.stages.docs import docs_stage
-    from ray_data_mplsh.stages.exact import exact_dedup_stage
-    from ray_data_mplsh.stages.minhash import minhash_stage
-    from ray_data_mplsh.stages.bands import band_stage
-    from ray_data_mplsh.stages.pairs import pairs_stage
-    from ray_data_mplsh.stages.verify import verify_stage_join
-    import pyarrow.compute as pc
-
-    pages = rd.read_parquet(f"{small_fixture}/pages.parquet")
-    cfg = MPLSHConfig()
-    docs = exact_dedup_stage(docs_stage(pages, cfg, extract=True), cfg, 4)
-    reps = docs.map_batches(
-        lambda b: b.filter(pc.equal(b["doc_id"], b["rep_id"])),
-        batch_format="pyarrow")
-    sigs = minhash_stage(reps, cfg).materialize()
-    pairs = pairs_stage(band_stage(sigs, cfg), cfg, 4)
-    vp = verify_stage_join(pairs, sigs, cfg, 4).to_pandas()
-    got = set(zip(vp["a"].tolist(), vp["b"].tolist()))
-    assert got == set(small_oracle.verified)
-
-
 def test_shuffle_verify_path_equivalent(ray_session, small_fixture,
                                         small_oracle):
     """Forcing the shuffle sig-attach path (broadcast threshold 0) gives the

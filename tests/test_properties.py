@@ -47,7 +47,7 @@ def test_multiprobe_collisions_monotone_in_T(seed):
 
     def keys(T):
         cfg = MPLSHConfig(probes=T)
-        _, h, _ = band_probe_keys(sig, cfg)
+        h = band_probe_keys(sig, cfg)
         per_doc = cfg.bands * (1 + T)
         return [set(h[i * per_doc:(i + 1) * per_doc].tolist())
                 for i in range(4)]
@@ -67,6 +67,6 @@ def test_identical_docs_always_collide():
     row = rng.integers(0, 2**63, 128, dtype=np.uint64)
     sig = np.vstack([row, row])
     cfg = MPLSHConfig()
-    _, h, _ = band_probe_keys(sig, cfg)
+    h = band_probe_keys(sig, cfg)
     per_doc = cfg.bands * (1 + cfg.probes)
     assert set(h[:per_doc]) == set(h[per_doc:])
