@@ -69,21 +69,25 @@ class MPLSHConfig:
     num_partitions: int = 0       # 0 = auto (2x cluster CPUs)
     local_state_max_rows: int = 6_000_000
                                   # hybrid execution threshold: reduce-side
-                                  # states at most this big (pair sets, CC edge
-                                  # lists) run as one vectorized driver-side
-                                  # kernel instead of a distributed shuffle —
-                                  # a shuffle on a tens-of-MB pair list costs
-                                  # more in fixed latency than it buys in
-                                  # parallelism (6M rows = 96MB driver-side,
-                                  # np.unique in <1s; raised from 2M after the
-                                  # 150k-doc bench showed its 2.8M winnow pair
-                                  # list just over the old cap). The
-                                  # distributed path is the >threshold route
-                                  # and stays covered by tests (force flags)
+                                  # states at most this big (exact-dup member
+                                  # maps, fingerprint buckets, pair sets, CC
+                                  # edge lists) run as one vectorized
+                                  # driver-side kernel instead of a
+                                  # distributed shuffle
+                                  # (shuffle.local_or_exchange) — a shuffle on
+                                  # a tens-of-MB pair list costs more in fixed
+                                  # latency than it buys in parallelism (6M
+                                  # rows = 96MB driver-side, np.unique in <1s;
+                                  # raised from 2M after the 150k-doc bench
+                                  # showed its 2.8M winnow pair list just over
+                                  # the old cap). The distributed path is the
+                                  # >threshold route; 0 forces it everywhere,
+                                  # which is how the tests cover it
     broadcast_max_docs: int = 200_000
                                   # small-side lookups (signatures, labels) are
                                   # broadcast via ray.put below this doc count;
-                                  # above it the hash-shuffle join path is used
+                                  # above it the pair-attach stages take
+                                  # shuffle.pair_apply's two-hop exchange
     substr_broadcast_max_bytes: int = 1 << 30
                                   # the substring pass broadcasts canonical
                                   # TEXTS (not fixed-width sigs), so its

@@ -38,7 +38,7 @@ def levenshtein_pairs(offs: np.ndarray, data: np.ndarray,
                       chunk: int = 2048,
                       max_dist: int | None = None) -> np.ndarray:
     """Distances for pairs (ai[p], bi[p]) over packed utf-8 strings
-    (``offs`` int64 len n+1 / ``data`` uint8 — the `_utf8_flat` layout).
+    (``offs`` int64 len n+1 / ``data`` uint8 — the `utf8_flat` layout).
     Chunked so the working set stays ~chunk x max_len int32. With
     ``max_dist``, results above it are reported as ``max_dist + 1``."""
     ai = np.asarray(ai, np.int64)

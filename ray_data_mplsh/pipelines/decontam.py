@@ -20,8 +20,9 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ray_data_mplsh.functions.hashing import mix64, poly_window_hashes
-from ray_data_mplsh.stages.output import _utf8_flat
+from ray_data_mplsh.functions.hashing import (
+    mix64, poly_window_hashes, utf8_flat,
+)
 from ray_data_mplsh.stages.shuffle import cached_get
 
 
@@ -53,7 +54,7 @@ def contains_any(ds, snippets: list[str], *, text_col: str = "text",
 
     def scan(t: pa.Table) -> pa.Table:
         index = cached_get(ref)
-        offs, data = _utf8_flat(t[text_col])
+        offs, data = utf8_flat(t[text_col])
         n = t.num_rows
         hit_doc = np.zeros(n, dtype=bool)
         u = data.astype(np.uint64)

@@ -25,8 +25,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ray_data_mplsh.functions.editdist import levenshtein_pairs
-from ray_data_mplsh.functions.hashing import hash_str_array
-from ray_data_mplsh.stages.output import _utf8_flat
+from ray_data_mplsh.functions.hashing import hash_str_array, utf8_flat
 from ray_data_mplsh.stages.shuffle import default_partitions, partition_apply
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -57,7 +56,7 @@ def edit_distance_pairs(ds, *, max_len: int = 250, bucket: int = 64,
         did = part["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         nc = part["n_chars"].to_numpy(zero_copy_only=False).astype(np.int64)
         lang = np.asarray(part["lang"].to_pylist(), dtype=object)
-        offs, data = _utf8_flat(part["text"])
+        offs, data = utf8_flat(part["text"])
         # exact block regrouping: the hash key only co-located rows
         _, linv = np.unique(lang, return_inverse=True)
         comp = linv.astype(np.int64) * np.int64(1 << 32) + nc // bucket
@@ -91,8 +90,8 @@ def edit_distance_pairs(ds, *, max_len: int = 250, bucket: int = 64,
 
     def score(t: pa.Table) -> pa.Table:
         n = t.num_rows
-        offs_a, data_a = _utf8_flat(t["text_a"])
-        offs_b, data_b = _utf8_flat(t["text_b"])
+        offs_a, data_a = utf8_flat(t["text_a"])
+        offs_b, data_b = utf8_flat(t["text_b"])
         offs = np.concatenate((offs_a, offs_a[-1] + offs_b[1:]))
         data = np.concatenate((data_a, data_b))
         d = levenshtein_pairs(offs, data, np.arange(n, dtype=np.int64),

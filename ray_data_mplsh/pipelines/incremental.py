@@ -48,8 +48,8 @@ from ray_data_mplsh.stages.minhash import minhash_stage
 from ray_data_mplsh.stages.output import assign_and_mark, substring_stage
 from ray_data_mplsh.stages.pairs import pairs_stage
 from ray_data_mplsh.stages.shuffle import (
-    cached_get, default_partitions, group_runs, isin_sorted, lookup_u64,
-    partition_apply,
+    cached_get, default_partitions, gather_columns, gather_kv, group_runs,
+    isin_sorted, lookup_u64, partition_apply,
 )
 from ray_data_mplsh.stages.verify import verify_stage
 from ray_data_mplsh.state.checkpoint import (
@@ -154,20 +154,8 @@ def _adoption_map(new_reps_slim, base_reps_slim, num_partitions: int
             "base_rep": pa.array(minb[gidx[m]], pa.uint64()),
         })
 
-    mapped = partition_apply(u, "text_hash", emit, num_partitions)
-    ks, vs = [], []
-    for b in mapped.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        ks.append(b["new_rep"].to_numpy(zero_copy_only=False)
-                  .astype(np.uint64))
-        vs.append(b["base_rep"].to_numpy(zero_copy_only=False)
-                  .astype(np.uint64))
-    if not ks:
-        e = np.empty(0, np.uint64)
-        return e, e
-    k = np.concatenate(ks)
-    v = np.concatenate(vs)
-    o = np.argsort(k)
-    return k[o], v[o]
+    return gather_kv(partition_apply(u, "text_hash", emit, num_partitions),
+                     "new_rep", "base_rep")
 
 
 def _adoption_map_broadcast(new_tbl: pa.Table, base_reps_slim
@@ -194,18 +182,11 @@ def _adoption_map_broadcast(new_tbl: pa.Table, base_reps_slim
         return pa.table({"text_hash": pa.array(th[m], pa.uint64()),
                          "doc_id": pa.array(did[m], pa.uint64())})
 
-    hk_l, hv_l = [], []
-    for b in base_reps_slim.map_batches(probe, batch_format="pyarrow") \
-            .iter_batches(batch_size=65536, batch_format="pyarrow"):
-        hk_l.append(b["text_hash"].to_numpy(zero_copy_only=False)
-                    .astype(np.uint64))
-        hv_l.append(b["doc_id"].to_numpy(zero_copy_only=False)
-                    .astype(np.uint64))
-    hk = np.concatenate(hk_l) if hk_l else np.empty(0, np.uint64)
+    hk, hv = gather_columns(
+        base_reps_slim.map_batches(probe, batch_format="pyarrow"),
+        "text_hash", "doc_id")
     if not len(hk):
-        e = np.empty(0, np.uint64)
-        return e, e
-    hv = np.concatenate(hv_l)
+        return hk, hv
     oo = np.lexsort((hv, hk))
     hk, hv = hk[oo], hv[oo]
     first = np.concatenate(([True], hk[1:] != hk[:-1]))
@@ -302,7 +283,6 @@ def _substring_incremental(marked, cfg: MPLSHConfig, P: int,
     import ray
     import ray.data as rd
 
-    from ray_data_mplsh.functions.hashing import mix64
     from ray_data_mplsh.stages import output as _out
     from ray_data_mplsh.stages.shuffle import gather_capped, sized_partitions
 
@@ -387,8 +367,8 @@ def _substring_incremental(marked, cfg: MPLSHConfig, P: int,
         .select_columns(["doc_id", "text"])
     # joint canon stats: the same data-sized gates as substring_stage
     canon, n_canon, canon_bytes = _out._canon_stats(marked)
-    est_rows = max(n_canon, canon_bytes // 45)
-    pe = sized_partitions(est_rows, P)
+    n_fps = _out._fp_rows(n_canon, canon_bytes, cfg)
+    pe = sized_partitions(n_fps, P)
 
     # the emitter feeds the pairing exchange, so its bundling gate keys
     # on the JOINT canon stats — the exchange is joint-sized however
@@ -404,24 +384,21 @@ def _substring_incremental(marked, cfg: MPLSHConfig, P: int,
         fps = _save_ckpt(fps, save_cfg, "substr_fps", ts)
 
     # 4. pairing over the joint fps (identical multiset -> identical pair
-    # set; _pairs_of_runs is partitioning/order independent, pinned)
-    pfn = _out._emit_pairs_fn("fp", cfg.substr_bucket_cap)
-    pairs = _out.dedup_pairs(partition_apply(fps, "fp", pfn, pe), pe,
-                             local_max_rows=cfg.local_state_max_rows)
+    # set): the from-scratch pass's own pairing step
+    pairs = _out._fp_pairs(fps, n_fps, cfg, pe)
     if save_cfg is not None:
         pairs = _save_ckpt(pairs, save_cfg, "substr_pairs", ts)
 
-    # 5. split joint pairs on base membership (pk routes; identity is the
-    # exact (a, b) within the partition, so pk collisions are harmless)
+    # 5. split joint pairs on base membership (the (a, b) key routes;
+    # identity is the exact (a, b) within the partition, so routing-hash
+    # collisions are harmless)
     def tag_pairs(side: int):
         def fn(t: pa.Table) -> pa.Table:
-            a = t["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            b = t["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
             return pa.table({
-                "pk": pa.array(mix64(a) ^ mix64(b), pa.uint64()),
-                "a": pa.array(a, pa.uint64()),
-                "b": pa.array(b, pa.uint64()),
-                "side": pa.array(np.full(len(a), side, np.int8), pa.int8()),
+                "a": pc.cast(t["a"], pa.uint64()),
+                "b": pc.cast(t["b"], pa.uint64()),
+                "side": pa.array(np.full(t.num_rows, side, np.int8),
+                                 pa.int8()),
             })
         return fn
 
@@ -460,7 +437,7 @@ def _substring_incremental(marked, cfg: MPLSHConfig, P: int,
             "kind": pa.array(np.concatenate(
                 [kind, np.full(int(vm.sum()), 2, np.int8)]), pa.int8())})
 
-    tagged = partition_apply(u, "pk", split, pe).materialize()
+    tagged = partition_apply(u, ("a", "b"), split, pe).materialize()
     fresh = tagged.filter(expr="kind == 0").select_columns(["a", "b"])
     reused_pairs = tagged.filter(expr="kind == 1") \
         .select_columns(["a", "b"])
@@ -473,29 +450,23 @@ def _substring_incremental(marked, cfg: MPLSHConfig, P: int,
 
     # 6. reused spans: base span rows semi-joined on the reused pairs
     def tag_req(t: pa.Table) -> pa.Table:
-        a = t["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        n = len(a)
+        n = t.num_rows
         return pa.table({
-            "pk": pa.array(mix64(a) ^ mix64(b), pa.uint64()),
-            "a": pa.array(a, pa.uint64()),
-            "b": pa.array(b, pa.uint64()),
+            "a": pc.cast(t["a"], pa.uint64()),
+            "b": pc.cast(t["b"], pa.uint64()),
             "doc_id": pa.array(np.zeros(n, np.uint64), pa.uint64()),
             "start": pa.array(np.full(n, -1, np.int64), pa.int64()),
             "end": pa.array(np.full(n, -1, np.int64), pa.int64()),
             "side": pa.array(np.zeros(n, np.int8), pa.int8())})
 
     def tag_span(t: pa.Table) -> pa.Table:
-        a = t["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
         return pa.table({
-            "pk": pa.array(mix64(a) ^ mix64(b), pa.uint64()),
-            "a": pa.array(a, pa.uint64()),
-            "b": pa.array(b, pa.uint64()),
+            "a": pc.cast(t["a"], pa.uint64()),
+            "b": pc.cast(t["b"], pa.uint64()),
             "doc_id": pc.cast(t["doc_id"], pa.uint64()),
             "start": pc.cast(t["start"], pa.int64()),
             "end": pc.cast(t["end"], pa.int64()),
-            "side": pa.array(np.ones(len(a), np.int8), pa.int8())})
+            "side": pa.array(np.ones(t.num_rows, np.int8), pa.int8())})
 
     u2 = reused_pairs.map_batches(tag_req, batch_format="pyarrow").union(
         base_spans.map_batches(tag_span, batch_format="pyarrow"))
@@ -520,7 +491,7 @@ def _substring_incremental(marked, cfg: MPLSHConfig, P: int,
         kept = part.take(pa.array(o)).filter(keep)
         return kept.select(["a", "b", "doc_id", "start", "end"])
 
-    reused_spans = partition_apply(u2, "pk", pick, pe)
+    reused_spans = partition_apply(u2, ("a", "b"), pick, pe)
 
     # 7. fresh spans through the standard attach gates
     fresh_spans = _out._pair_spans(fresh, canon, n_canon, canon_bytes, cfg,
@@ -728,13 +699,8 @@ def run_dedup_incremental(new_pages, cfg: MPLSHConfig, *, base_run_id: str,
     # S4-S5 over the JOINT key set (base band keys are re-hashed from the
     # checkpointed sigs — cheap), then drop pairs not touching a new doc:
     # base-base pairs are already in the base 'verified' checkpoint
-    new_ids_l = [b["doc_id"].to_numpy(zero_copy_only=False)
-                 .astype(np.uint64)
-                 for b in sigs_new.select_columns(["doc_id"])
-                 .iter_batches(batch_size=65536, batch_format="pyarrow")]
-    new_ids = np.sort(np.concatenate(new_ids_l)) if new_ids_l \
-        else np.empty(0, np.uint64)
-    nref = ray.put(new_ids)
+    nref = ray.put(np.sort(gather_columns(
+        sigs_new.select_columns(["doc_id"]), "doc_id")[0]))
 
     def keep_new(batch: pa.Table) -> pa.Table:
         nid = cached_get(nref)
@@ -788,12 +754,8 @@ def run_dedup_incremental(new_pages, cfg: MPLSHConfig, *, base_run_id: str,
     # dup can shrink a base cluster's min id and so flip its canonical
     # pick) — new-shard-bounded, the same driver bound the keep_new
     # filter above already accepts
-    all_new_l = [b["doc_id"].to_numpy(zero_copy_only=False)
-                 .astype(np.uint64)
-                 for b in new_docs.select_columns(["doc_id"])
-                 .iter_batches(batch_size=65536, batch_format="pyarrow")]
-    all_new = np.sort(np.concatenate(all_new_l)) if all_new_l \
-        else np.empty(0, np.uint64)
+    all_new = np.sort(gather_columns(new_docs.select_columns(["doc_id"]),
+                                     "doc_id")[0])
 
     if skip_substring:
         def add_final(batch: pa.Table) -> pa.Table:

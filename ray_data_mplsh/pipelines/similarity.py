@@ -29,7 +29,7 @@ import pyarrow.compute as pc
 from ray_data_mplsh.functions.hashing import mix64
 from ray_data_mplsh.functions.perturb import perturbation_sets
 from ray_data_mplsh.stages.shuffle import (
-    gather_slices, group_runs, partition_apply,
+    cached_get, gather_slices, group_runs, partition_apply,
 )
 
 
@@ -125,32 +125,30 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / n
 
 
-class _BruteScorer:
-    """Actor-pool stage: queries fetched once, one matmul per batch."""
+def _brute_scorer(q_ref, k: int):
+    """Plain-task stage: the (ids, normalized query^T) broadcast is read
+    with ``cached_get``, one matmul per batch. A task holds no CPU
+    between batches, so the upstream read always gets one — an actor pool
+    could reserve every CPU of a 1-CPU cluster and stall it."""
 
-    def __init__(self, q_ref, k: int):
-        import ray
-        self.qids, q = ray.get(q_ref)
-        self.q = _normalize(q.astype(np.float32)).T  # (d, nq)
-        self.k = k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def score(batch: pa.Table) -> pa.Table:
+        qids, qt = cached_get(q_ref)              # qt: (d, nq)
         m = _normalize(_emb_matrix(batch).astype(np.float32))
         ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         if m.size == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "vec_id": pa.array([], pa.int64()),
-                             "cosine": pa.array([], pa.float64())})
-        scores = m @ self.q                       # (nb, nq)
-        k = min(self.k, scores.shape[0])
-        top = np.argpartition(-scores, k - 1, axis=0)[:k]   # (k, nq)
+            return _KNN_SCHEMA.empty_table()
+        scores = m @ qt                           # (nb, nq)
+        kk = min(k, scores.shape[0])
+        top = np.argpartition(-scores, kk - 1, axis=0)[:kk]   # (kk, nq)
         nq = scores.shape[1]
-        qcol = np.repeat(self.qids, k)
+        qcol = np.repeat(qids, kk)
         vcol = ids[top.T.reshape(-1)]
-        scol = scores[top.T.reshape(-1), np.repeat(np.arange(nq), k)]
+        scol = scores[top.T.reshape(-1), np.repeat(np.arange(nq), kk)]
         return pa.table({"query_id": pa.array(qcol, pa.int64()),
                          "vec_id": pa.array(vcol, pa.int64()),
                          "cosine": pa.array(scol.astype(np.float64))})
+
+    return score
 
 
 def knn_bruteforce(embeddings, query_ids: np.ndarray, queries: np.ndarray,
@@ -162,14 +160,10 @@ def knn_bruteforce(embeddings, query_ids: np.ndarray, queries: np.ndarray,
     driver. Returns a pyarrow table (query_id, vec_id, cosine)."""
     import ray
 
-    from ray_data_mplsh.stages.shuffle import pool_size
-
     q_ref = ray.put((np.asarray(query_ids, np.int64),
-                     np.asarray(queries, np.float32)))
-    partial = embeddings.map_batches(
-        _BruteScorer, fn_constructor_args=(q_ref, k),
-        batch_format="pyarrow", batch_size=4096,
-        concurrency=(1, pool_size()), num_cpus=1)
+                     _normalize(np.asarray(queries, np.float32)).T))
+    partial = embeddings.map_batches(_brute_scorer(q_ref, k),
+                                     batch_format="pyarrow", batch_size=4096)
     return _merge_topk(partial, k, len(query_ids))
 
 
@@ -285,55 +279,43 @@ def knn_lsh(embeddings, query_ids: np.ndarray, queries: np.ndarray,
     uoffs = np.concatenate(
         [np.flatnonzero(new), [len(pk)]]).astype(np.int64)
     want_ref = ray.put((uk, uoffs, qp))
-    planes_ref = ray.put(np.stack(planes))       # (T, d, bits)
+    planes_ref = ray.put(np.stack(planes).astype(np.float64))  # (T, d, bits)
     q_ref = ray.put((qids, qm))
 
-    class Prober:
-        def __init__(self):
-            self.uk, self.uoffs, self.qp = ray.get(want_ref)
-            self.planes64 = ray.get(planes_ref).astype(np.float64)
-            self.qids, self.qm = ray.get(q_ref)
+    # a plain task reading the broadcasts with cached_get (the other
+    # broadcast stages' shape): no actor pool holds a CPU the upstream
+    # read needs, so a 1-CPU cluster cannot stall
+    def probe(batch: pa.Table) -> pa.Table:
+        uk, uoffs, qp_ = cached_get(want_ref)
+        planes64 = cached_get(planes_ref)
+        qids_, qm_ = cached_get(q_ref)
+        raw = _emb_matrix(batch).astype(np.float64)
+        m = _normalize(raw.astype(np.float32))
+        ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        out_q, out_v, out_c = [], [], []
+        if m.size and len(uk):
+            for t in range(planes64.shape[0]):
+                code, _ = _vec_code64(raw, planes64[t])
+                key = (np.uint64(t << n_bits) | code)
+                pos = np.clip(np.searchsorted(uk, key), 0, len(uk) - 1)
+                rows = np.flatnonzero(uk[pos] == key)
+                if not len(rows):
+                    continue
+                qsel, lens = gather_slices(uoffs, qp_, pos[rows])
+                row_rep = np.repeat(rows, lens)
+                cos = np.einsum("ij,ij->i", m[row_rep],
+                                qm_[qsel]).astype(np.float64)
+                out_q.append(qids_[qsel])
+                out_v.append(ids[row_rep])
+                out_c.append(cos)
+        if not out_q:
+            return _KNN_SCHEMA.empty_table()
+        return _knn_table(*_topk_per_query(np.concatenate(out_q),
+                                           np.concatenate(out_v),
+                                           np.concatenate(out_c), k))
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            raw = _emb_matrix(batch).astype(np.float64)
-            m = _normalize(raw.astype(np.float32))
-            ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            out_q, out_v, out_c = [], [], []
-            if m.size and len(self.uk):
-                for t in range(self.planes64.shape[0]):
-                    code, _ = _vec_code64(raw, self.planes64[t])
-                    key = (np.uint64(t << n_bits) | code)
-                    pos = np.clip(np.searchsorted(self.uk, key), 0,
-                                  len(self.uk) - 1)
-                    hit = self.uk[pos] == key
-                    rows = np.flatnonzero(hit)
-                    if not len(rows):
-                        continue
-                    qsel, lens = gather_slices(self.uoffs, self.qp,
-                                               pos[rows])
-                    row_rep = np.repeat(rows, lens)
-                    cos = np.einsum("ij,ij->i", m[row_rep],
-                                    self.qm[qsel]).astype(np.float64)
-                    out_q.append(self.qids[qsel])
-                    out_v.append(ids[row_rep])
-                    out_c.append(cos)
-            if out_q:
-                oq = np.concatenate(out_q)
-                ov = np.concatenate(out_v)
-                oc = np.concatenate(out_c)
-                oq, ov, oc = _topk_per_query(oq, ov, oc, k)
-            else:
-                oq = ov = np.empty(0, np.int64)
-                oc = np.empty(0, np.float64)
-            return pa.table({"query_id": pa.array(oq, pa.int64()),
-                             "vec_id": pa.array(ov, pa.int64()),
-                             "cosine": pa.array(oc, pa.float64())})
-
-    from ray_data_mplsh.stages.shuffle import pool_size
-
-    cand = embeddings.map_batches(Prober, batch_format="pyarrow",
-                                  batch_size=4096,
-                                  concurrency=(1, pool_size()), num_cpus=1)
+    cand = embeddings.map_batches(probe, batch_format="pyarrow",
+                                  batch_size=4096)
     # (q, v) duplicates from several tables dedup inside the keyed merge
     return _merge_topk(cand, k, len(qids))
 

@@ -25,7 +25,9 @@ import pyarrow as pa
 
 from ray_data_mplsh.config import MPLSHConfig
 from ray_data_mplsh.functions.hashing import mix64
-from ray_data_mplsh.stages.shuffle import group_runs, partition_apply
+from ray_data_mplsh.stages.shuffle import (
+    from_arrow_blocks, gather_columns, group_runs, partition_apply,
+)
 
 EDGE_SCHEMA = pa.schema([("u", pa.uint64()), ("v", pa.uint64())])
 
@@ -182,23 +184,13 @@ def connected_components(verified_pairs, cfg: MPLSHConfig,
     on a few MB of edges costs more in shuffle latency than it gains.
     Above the threshold (the 10^12-doc path), iterative star contraction
     over Dataset shuffles runs as designed ([CC-MR])."""
-    import ray.data
-
     if not force_distributed:
         if n_edges < 0:
             n_edges = verified_pairs.count()
         if n_edges <= cfg.local_state_max_rows:
-            ak, bk = [], []
-            for t in verified_pairs.select_columns(["a", "b"]).iter_batches(
-                    batch_size=65536, batch_format="pyarrow"):
-                ak.append(t["a"].to_numpy(zero_copy_only=False)
-                          .astype(np.uint64))
-                bk.append(t["b"].to_numpy(zero_copy_only=False)
-                          .astype(np.uint64))
-            a = np.concatenate(ak) if ak else np.empty(0, np.uint64)
-            b = np.concatenate(bk) if bk else np.empty(0, np.uint64)
-            nodes, lbl = local_cc_labels(a, b)
-            return ray.data.from_arrow(pa.Table.from_arrays(
+            nodes, lbl = local_cc_labels(
+                *gather_columns(verified_pairs, "a", "b"))
+            return from_arrow_blocks(pa.Table.from_arrays(
                 [pa.array(nodes, pa.uint64()), pa.array(lbl, pa.uint64())],
                 names=["doc_id", "cluster_id"]))
 

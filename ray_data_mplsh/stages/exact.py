@@ -1,9 +1,10 @@
 """S2: exact dedup — hash-partition + per-group min (SURVEY.md op 23).
 
-Adds ``text_hash`` in a vectorized pass, then one coarse-partitioned
-shuffle; inside each partition a NumPy sort groups equal hashes and the
-min doc_id becomes the representative ([Lee22 §2] pre-pass; kills bucket
-skew from identical pages before MinHash).
+Adds ``text_hash`` in a vectorized pass, then groups equal hashes with
+``shuffle.local_or_exchange`` (one driver numpy pass for a driver-sized
+corpus, else one coarse-partitioned shuffle); inside each group run a
+NumPy sort makes the min doc_id the representative ([Lee22 §2] pre-pass;
+kills bucket skew from identical pages before MinHash).
 
 Output = input schema + ``rep_id``: representatives have
 ``rep_id == doc_id``; exact-dup members carry their representative's id
@@ -17,7 +18,10 @@ import pyarrow as pa
 
 from ray_data_mplsh.config import MPLSHConfig
 from ray_data_mplsh.functions.hashing import hash_str_array
-from ray_data_mplsh.stages.shuffle import group_runs, partition_apply
+from ray_data_mplsh.stages.shuffle import (
+    cached_get, gather_kv, group_runs, local_or_exchange, lookup_u64,
+    partition_apply, sized_partitions,
+)
 
 
 def add_text_hash(batch: pa.Table) -> pa.Table:
@@ -40,8 +44,8 @@ def _assign_reps(part: pa.Table) -> pa.Table:
 
 
 def _rep_member_pairs(part: pa.Table) -> pa.Table:
-    """Per partition: (doc_id, rep_id) rows for DUP MEMBERS ONLY (rep !=
-    doc) — the broadcast-side payload of the hybrid path."""
+    """(doc_id, rep_id) rows for DUP MEMBERS ONLY (rep != doc) — the
+    broadcast-side payload of the hybrid path."""
     th = part["text_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
     ids = part["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
     order, starts = group_runs(th)
@@ -63,18 +67,15 @@ def _rep_member_pairs(part: pa.Table) -> pa.Table:
 def exact_dedup_stage(docs, cfg: MPLSHConfig, num_partitions: int):
     """docs -> docs + (text_hash, rep_id).
 
-    Hybrid: the shuffle runs over the SLIM (doc_id, text_hash) projection
-    only; when the dup-member map fits ``cfg.broadcast_max_docs`` it is
-    broadcast and rep_id is annotated map-side, so the wide text column
-    never crosses the wire. Above the threshold, the full sorted-shuffle
-    path co-locates equal hashes (the 10^12-doc route, where the member
-    map itself is too big for one node)."""
+    Hybrid: the dup-member map comes from the SLIM (doc_id, text_hash)
+    projection only, through ``local_or_exchange`` (one driver pass under
+    ``cfg.local_state_max_rows`` docs, else a text_hash-keyed exchange);
+    when it fits ``cfg.broadcast_max_docs`` it is broadcast and rep_id is
+    annotated map-side, so the wide text column never crosses the wire.
+    Above the threshold, the full sorted-shuffle path co-locates equal
+    hashes (the 10^12-doc route, where the member map itself is too big
+    for one node)."""
     import ray
-
-    from ray_data_mplsh.stages.shuffle import cached_get, gather_kv, \
-        lookup_u64
-
-    from ray_data_mplsh.stages.shuffle import sized_partitions
 
     hashed = docs.map_batches(add_text_hash,
                               batch_format="pyarrow").materialize()
@@ -82,53 +83,20 @@ def exact_dedup_stage(docs, cfg: MPLSHConfig, num_partitions: int):
     # split and the exchange width key off the real corpus size
     n_corpus = hashed.count()
     pe = sized_partitions(n_corpus, num_partitions)
-    slim = hashed.select_columns(["doc_id", "text_hash"])
-
-    def _annotate_ref(kv):
-        ref = ray.put(kv)
-
-        def annotate(batch: pa.Table) -> pa.Table:
-            keys, vals = cached_get(ref)
-            ids = batch["doc_id"].to_numpy(zero_copy_only=False) \
-                .astype(np.uint64)
-            rep = lookup_u64(keys, vals, ids, default=ids)
-            return batch.append_column("rep_id", pa.array(rep, pa.uint64()))
-
-        return hashed.map_batches(annotate, batch_format="pyarrow")
-
-    if n_corpus <= cfg.local_state_max_rows:
-        # LOCAL HYBRID (the dedup_pairs pattern): a Ray sort-shuffle has
-        # ~1s fixed latency; the slim (doc_id, text_hash) projection at
-        # this size is a few MB, so the member map comes from one driver
-        # numpy pass — same group_runs/reduceat kernel as the exchange's
-        # per-partition fn, hence bit-equal. Web-scale corpora take the
-        # exchange below.
-        ths, idss = [], []
-        for t in slim.iter_batches(batch_size=131072,
-                                   batch_format="pyarrow"):
-            ths.append(t["text_hash"].to_numpy(zero_copy_only=False)
-                       .astype(np.uint64))
-            idss.append(t["doc_id"].to_numpy(zero_copy_only=False)
-                        .astype(np.uint64))
-        th = np.concatenate(ths) if ths else np.empty(0, np.uint64)
-        ids = np.concatenate(idss) if idss else np.empty(0, np.uint64)
-        order, starts = group_runs(th)
-        sorted_ids = ids[order]
-        if len(ids):
-            run_min = np.minimum.reduceat(sorted_ids, starts[:-1])
-            rep = np.repeat(run_min, np.diff(starts))
-            member = sorted_ids != rep
-            mk, mv = sorted_ids[member], rep[member]
-        else:
-            mk = mv = np.empty(0, np.uint64)
-        if len(mk) <= cfg.broadcast_max_docs:
-            o = np.argsort(mk)
-            return _annotate_ref((mk[o], mv[o]))
-        # dup-member map too large to broadcast: full sorted shuffle
+    members = local_or_exchange(
+        hashed.select_columns(["doc_id", "text_hash"]), "text_hash",
+        _rep_member_pairs, pe, n_rows=n_corpus,
+        local_max_rows=cfg.local_state_max_rows,
+        schema=pa.schema([("doc_id", pa.uint64()),
+                          ("text_hash", pa.uint64())])).materialize()
+    if members.count() > cfg.broadcast_max_docs:
         return partition_apply(hashed, "text_hash", _assign_reps, pe)
+    ref = ray.put(gather_kv(members, "doc_id", "rep_id"))
 
-    members = partition_apply(slim, "text_hash", _rep_member_pairs,
-                              pe).materialize()
-    if members.count() <= cfg.broadcast_max_docs:
-        return _annotate_ref(gather_kv(members, "doc_id", "rep_id"))
-    return partition_apply(hashed, "text_hash", _assign_reps, pe)
+    def annotate(batch: pa.Table) -> pa.Table:
+        keys, vals = cached_get(ref)
+        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        rep = lookup_u64(keys, vals, ids, default=ids)
+        return batch.append_column("rep_id", pa.array(rep, pa.uint64()))
+
+    return hashed.map_batches(annotate, batch_format="pyarrow")

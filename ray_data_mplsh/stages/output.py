@@ -2,11 +2,12 @@
 (SURVEY.md ops 20-24).
 
 Small-side lookups (component labels, canonical ids, span intervals) are
-broadcast once via ``ray.put`` and resolved inside ``map_batches`` with
-``np.searchsorted`` — they are orders of magnitude smaller than the corpus
-(only docs participating in dup clusters appear). Pair-text attachment for
-the substring pass is ``shuffle.pair_apply`` — the operator behind S6 —
-with a suffix-array span kernel (``_pair_spans``).
+gathered with ``shuffle.gather_columns``, broadcast once via ``ray.put``
+and resolved inside ``map_batches`` with ``np.searchsorted`` — they are
+orders of magnitude smaller than the corpus (only docs participating in
+dup clusters appear). Pair-text attachment for the substring pass is
+``shuffle.pair_apply`` — the operator behind S6 — with a suffix-array
+span kernel (``_pair_spans``).
 
 Substring semantics ([Lee22 §3], span removal): any span >= substr_len
 bytes that also occurs in an earlier (smaller doc_id) canonical doc is cut
@@ -14,7 +15,8 @@ from the later doc's ``final_text``; the doc is dropped (is_canonical
 False) only when >90% of its bytes were duplicated spans or the remainder
 is shorter than min_chars. Candidates come from winnowing fingerprints
 (guarantee: any shared span >= winnow_k + winnow_w - 1 = substr_len shares
-a fingerprint), grouped by the same coarse-partitioned shuffle as S5.
+a fingerprint), paired per fp bucket by ``shuffle.local_or_exchange``
+(``_fp_pairs``, shared with the incremental pass) as S5 pairs its bands.
 """
 
 from __future__ import annotations
@@ -23,15 +25,17 @@ import numpy as np
 import pyarrow as pa
 
 from ray_data_mplsh.config import MPLSHConfig
-from ray_data_mplsh.functions.hashing import winnow_fingerprints_batch
+from ray_data_mplsh.functions.hashing import (
+    utf8_flat, winnow_fingerprints_batch,
+)
 from ray_data_mplsh.functions.suffix import (
     cross_match_intervals, merge_intervals_grouped, remove_intervals,
 )
 from ray_data_mplsh.stages.pairs import _emit_pairs_fn, dedup_pairs
-from ray_data_mplsh.stages.shuffle import cached_get, gather_kv, \
-    group_runs, lookup_u64, pair_apply, partition_apply
-
-_lookup_u64 = lookup_u64  # back-compat alias
+from ray_data_mplsh.stages.shuffle import (
+    cached_get, gather_columns, gather_kv, group_runs, local_or_exchange,
+    lookup_u64, pair_apply, sized_partitions,
+)
 
 
 def assign_and_mark(docs_with_rep, labels, cfg: MPLSHConfig):
@@ -55,7 +59,7 @@ def assign_and_mark(docs_with_rep, labels, cfg: MPLSHConfig):
             .astype(np.uint64)
         did = batch["doc_id"].to_numpy(zero_copy_only=False) \
             .astype(np.uint64)
-        cid = _lookup_u64(keys, vals, rep, default=rep)
+        cid = lookup_u64(keys, vals, rep, default=rep)
         order, starts = group_runs(cid)
         mins = np.minimum.reduceat(did[order], starts[:-1]) \
             if len(cid) else np.empty(0, np.uint64)
@@ -65,24 +69,15 @@ def assign_and_mark(docs_with_rep, labels, cfg: MPLSHConfig):
             pa.array(mins, pa.uint64()),
         ], names=["cluster_id", "canonical_id"])
 
-    partial = docs_with_rep.select_columns(["doc_id", "rep_id"]) \
-        .map_batches(partial_min, batch_format="pyarrow")
-    ck, cv = [], []
-    for b in partial.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        ck.append(b["cluster_id"].to_numpy(zero_copy_only=False)
-                  .astype(np.uint64))
-        cv.append(b["canonical_id"].to_numpy(zero_copy_only=False)
-                  .astype(np.uint64))
-    if ck:
-        k = np.concatenate(ck)
-        v = np.concatenate(cv)
-        o = np.lexsort((v, k))
-        k, v = k[o], v[o]
-        first = np.concatenate(([True], k[1:] != k[:-1]))
-        k, v = k[first], v[first]  # per-cluster global min (sorted by k)
-    else:
-        k = v = np.empty(0, np.uint64)
-    cref = ray.put((k, v))
+    k, v = gather_columns(
+        docs_with_rep.select_columns(["doc_id", "rep_id"])
+        .map_batches(partial_min, batch_format="pyarrow"),
+        "cluster_id", "canonical_id")
+    o = np.lexsort((v, k))
+    k, v = k[o], v[o]
+    first = np.ones(len(k), bool)
+    first[1:] = k[1:] != k[:-1]
+    cref = ray.put((k[first], v[first]))  # per-cluster global min, by k
 
     def annotate(batch: pa.Table) -> pa.Table:
         lk, lv = cached_get(lref)
@@ -91,8 +86,8 @@ def assign_and_mark(docs_with_rep, labels, cfg: MPLSHConfig):
             .astype(np.uint64)
         did = batch["doc_id"].to_numpy(zero_copy_only=False) \
             .astype(np.uint64)
-        cid = _lookup_u64(lk, lv, rep, default=rep)
-        canon = _lookup_u64(ck, cv, cid, default=cid)
+        cid = lookup_u64(lk, lv, rep, default=rep)
+        canon = lookup_u64(ck, cv, cid, default=cid)
         out = batch.append_column("cluster_id", pa.array(cid, pa.uint64()))
         return out.append_column("is_canonical",
                                  pa.array(did == canon, pa.bool_()))
@@ -101,10 +96,6 @@ def assign_and_mark(docs_with_rep, labels, cfg: MPLSHConfig):
 
 
 # ------------------------- substring pass (op 24) -------------------------
-
-# canonical implementation lives in functions/hashing.py (poly_str_hashes
-# shares it); kept under the old name here for its many callers
-from ray_data_mplsh.functions.hashing import utf8_flat as _utf8_flat  # noqa: E402
 
 # large-corpus gate for bundling the exchange-feeding emitters (see
 # substring_stage / bands.band_stage): bundling wins only when the
@@ -118,7 +109,7 @@ BUNDLE_MIN_BYTES = 32 << 20
 def _fingerprint_emitter(cfg: MPLSHConfig):
     def fn(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        offs, data = _utf8_flat(batch["text"])
+        offs, data = utf8_flat(batch["text"])
         fp, di = winnow_fingerprints_batch(offs, data,
                                            cfg.winnow_k, cfg.winnow_w)
         return pa.Table.from_arrays([pa.array(fp, pa.uint64()),
@@ -176,18 +167,39 @@ def _pair_spans(pairs, canon, n_canon: int, canon_bytes: int,
 
 def _canon_stats(marked) -> tuple:
     """(canonical (doc_id, text) Dataset, n_canon, canon_bytes) of a marked
-    corpus — the data-sized inputs of every substring-pass gate. n_chars
-    rides the corpus schema, so canon_bytes is a cheap column scan with no
-    text touched."""
+    corpus — the data-sized inputs of every substring-pass gate, read off
+    the materialized canonical set's block metadata with no further job:
+    canon_bytes is its Arrow size (the UTF-8 text plus 12 B/doc of id and
+    offset)."""
     canon = marked.filter(expr="is_canonical == True") \
         .select_columns(["doc_id", "text"]).materialize()
-    schema = marked.schema()      # None for a fully empty corpus
-    if schema is not None and "n_chars" in schema.names:
-        canon_bytes = marked.select_columns(["is_canonical", "n_chars"]) \
-            .filter(expr="is_canonical == True").sum("n_chars") or 0
-    else:
-        canon_bytes = 0
-    return canon, canon.count(), int(canon_bytes)
+    return canon, canon.count(), canon.size_bytes()
+
+
+def _fp_rows(n_canon: int, canon_bytes: int, cfg: MPLSHConfig) -> int:
+    """Winnow fingerprint rows of a canonical set, estimated from the
+    winnowing density 2/(w + 1) per text byte (Schleimer et al., SIGMOD
+    2003), at least one per doc: the size that picks the pairing plan and
+    its exchange width."""
+    return max(n_canon, 2 * canon_bytes // (cfg.winnow_w + 1))
+
+
+def _fp_pairs(fps, n_fps: int, cfg: MPLSHConfig, num_partitions: int):
+    """Winnow (fp, doc_id) rows -> unique candidate pairs: the bucket
+    pairing of both the from-scratch and the incremental substring pass.
+    ``local_or_exchange`` groups the fp buckets — one driver numpy pass
+    for a driver-sized set, else the fp-keyed exchange; bit-equal,
+    because each fp bucket is wholly in one call either way and
+    _pairs_of_runs is order-independent (runs re-sorted, star anchored at
+    the min id; pinned by tests/test_suffix.py) — and ``dedup_pairs``
+    merges the pairs several buckets found."""
+    pairs = local_or_exchange(
+        fps, "fp", _emit_pairs_fn("fp", cfg.substr_bucket_cap),
+        num_partitions, n_rows=n_fps,
+        local_max_rows=cfg.local_state_max_rows,
+        schema=pa.schema([("fp", pa.uint64()), ("doc_id", pa.uint64())]))
+    return dedup_pairs(pairs, num_partitions,
+                       local_max_rows=cfg.local_state_max_rows)
 
 
 def _fingerprints(docs, n_canon: int, canon_bytes: int, cfg: MPLSHConfig):
@@ -221,19 +233,8 @@ def substring_stage(dedup_out, cfg: MPLSHConfig, num_partitions: int):
     # so the upstream chain doesn't re-execute per consumer.
     dedup_out = dedup_out.materialize()
     canon, n_canon, canon_bytes = _canon_stats(dedup_out)
-    # winnow density is ~1 fingerprint per 45 chars at the default
-    # (k, w), so canon_bytes // 45 estimates the bucket exchange's row
-    # count. Hybrid split (the dedup_pairs pattern): a Ray sort-shuffle
-    # costs ~1s fixed latency regardless of size, so a fingerprint set
-    # under cfg.local_state_max_rows is grouped in ONE driver numpy pass
-    # — bit-equal to the exchange because each fp bucket is wholly in
-    # one partition either way and _pairs_of_runs is order-independent
-    # (runs re-sorted, star anchored at the min id; pinned by
-    # tests/test_suffix.py). Web-scale fingerprint volumes take the
-    # size-adapted exchange.
-    from ray_data_mplsh.stages.shuffle import sized_partitions
-    est_rows = max(n_canon, canon_bytes // 45)
-    pe = sized_partitions(est_rows, num_partitions)
+    n_fps = _fp_rows(n_canon, canon_bytes, cfg)
+    pe = sized_partitions(n_fps, num_partitions)
     fps = _fingerprints(canon, n_canon, canon_bytes, cfg)
     # with checkpointing on, persist the substring internals too: the
     # fingerprints and per-pair spans are pure functions of (text, cfg),
@@ -243,29 +244,7 @@ def substring_stage(dedup_out, cfg: MPLSHConfig, num_partitions: int):
         from ray_data_mplsh.state.checkpoint import read_stage_or_compute
         _fps_lazy = fps
         fps = read_stage_or_compute(cfg, "substr_fps", lambda: _fps_lazy)
-    pfn = _emit_pairs_fn("fp", cfg.substr_bucket_cap)
-    local_fp = False
-    if est_rows <= cfg.local_state_max_rows:
-        fmat = fps.materialize()
-        if fmat.count() <= cfg.local_state_max_rows:
-            from ray_data_mplsh.stages.shuffle import from_arrow_blocks
-
-            batches = list(fmat.iter_batches(batch_size=1 << 20,
-                                             batch_format="pyarrow"))
-            tbl = pa.concat_tables(batches) if batches else pa.table(
-                {"fp": pa.array([], pa.uint64()),
-                 "doc_id": pa.array([], pa.uint64())})
-            # pfn's internal combiner uniques the pair list, and here its
-            # "partition" is the whole set — the output is already
-            # globally deduped, no dedup_pairs pass needed
-            pairs = from_arrow_blocks(pfn(tbl), target_rows=2048)
-            local_fp = True
-        else:
-            fps = fmat
-    if not local_fp:
-        pairs = partition_apply(fps, "fp", pfn, pe)
-        pairs = dedup_pairs(pairs, pe,
-                            local_max_rows=cfg.local_state_max_rows)
+    pairs = _fp_pairs(fps, n_fps, cfg, pe)
     if cfg.ckpt_dir:
         from ray_data_mplsh.state.checkpoint import read_stage_or_compute
         _pairs_lazy = pairs
@@ -293,33 +272,19 @@ def _apply_spans(dedup_out, spans, cfg: MPLSHConfig):
     # spans only — orders of magnitude smaller than the corpus; the
     # broadcast payload is 4 parallel numpy arrays, zero-copy on read) —
     # vectorized: one lexsort over all interval rows, per-doc slices merged
-    dds, sss, ees = [], [], []
-    for bt in spans.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        dds.append(bt["doc_id"].to_numpy(zero_copy_only=False)
-                   .astype(np.uint64))
-        sss.append(bt["start"].to_numpy(zero_copy_only=False))
-        ees.append(bt["end"].to_numpy(zero_copy_only=False))
-    if dds:
-        d = np.concatenate(dds)
-        s0 = np.concatenate(sss)
-        e0 = np.concatenate(ees)
-        o = np.lexsort((s0, d))
-        # vectorized per-doc interval merge (bit-equal to the scalar
-        # merge_intervals per doc — fuzz-pinned): no Python loop over
-        # dup-span docs on the driver
-        run_doc, span_s, span_e = merge_intervals_grouped(
-            d[o], s0[o], e0[o])
-        run_first = np.concatenate(([True], run_doc[1:] != run_doc[:-1]))
-        span_ids = run_doc[run_first].astype(np.uint64)
-        span_offs = np.concatenate(
-            ([0], np.cumsum(np.diff(np.concatenate(
-                (np.flatnonzero(run_first), [len(run_doc)])))))
-        ).astype(np.int64)
-    else:
-        span_ids = np.empty(0, np.uint64)
-        span_offs = np.zeros(1, np.int64)
-        span_s = span_e = np.empty(0, np.int64)
-    sref = ray.put((span_ids, span_offs, span_s, span_e))
+    d, s0, e0 = gather_columns(spans, "doc_id", "start", "end",
+                               types=(pa.uint64(), pa.int64(), pa.int64()))
+    o = np.lexsort((s0, d))
+    # vectorized per-doc interval merge (bit-equal to the scalar
+    # merge_intervals per doc — fuzz-pinned): no Python loop over
+    # dup-span docs on the driver
+    run_doc, span_s, span_e = merge_intervals_grouped(d[o], s0[o], e0[o])
+    run_first = np.ones(len(run_doc), bool)
+    run_first[1:] = run_doc[1:] != run_doc[:-1]
+    starts = np.flatnonzero(run_first)
+    sref = ray.put((run_doc[starts].astype(np.uint64),
+                    np.append(starts, len(run_doc)).astype(np.int64),
+                    span_s, span_e))
 
     def rewriter(batch: pa.Table) -> pa.Table:
         return _rewrite_batch(batch, cached_get(sref), cfg)

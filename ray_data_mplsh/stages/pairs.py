@@ -30,9 +30,11 @@ loss (unverified transitive merges); the recall gate (§2.5 op 29, >=0.99
 on the fixture) is the guard that the configured cap/salt settings keep
 the loss negligible.
 
-A second shuffle on the pair key then deduplicates pairs found via
-multiple bands/probes (op 16) — same pair always lands in one partition,
-so a per-partition unique is globally exact.
+``dedup_pairs`` then deduplicates pairs found via multiple bands/probes
+(op 16) with ``shuffle.local_or_exchange`` on the (a, b) key: one driver
+pass for a driver-sized pair set, else a second shuffle — the same pair
+always lands in one partition, so a per-partition unique is globally
+exact.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ import numpy as np
 import pyarrow as pa
 
 from ray_data_mplsh.config import MPLSHConfig
-from ray_data_mplsh.functions.hashing import mix64
-from ray_data_mplsh.stages.shuffle import group_runs, partition_apply
+from ray_data_mplsh.stages.shuffle import (
+    group_runs, local_or_exchange, partition_apply,
+)
 
 PAIRS_SCHEMA = pa.schema([("a", pa.uint64()), ("b", pa.uint64())])
 
@@ -163,47 +166,29 @@ def pairs_stage(band_keys, cfg: MPLSHConfig, num_partitions: int):
                        local_max_rows=cfg.local_state_max_rows)
 
 
-def _add_pair_key(batch: pa.Table) -> pa.Table:
-    a = batch["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    b = batch["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    return batch.append_column("pk", pa.array(mix64(a) ^ mix64(b), pa.uint64()))
-
-
 def _unique_pairs(part: pa.Table) -> pa.Table:
-    # exact (a, b) dedup — pk is only the shuffle key (collisions there
-    # merely co-locate; deduping BY pk could drop a distinct pair)
+    # exact (a, b) dedup — the pair key only routes (hash collisions
+    # there merely co-locate; deduping BY hash could drop a distinct pair)
     a = part["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
     b = part["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    return part.take(np.sort(unique_pair_rows(a, b))).drop_columns(["pk"])
+    return part.take(pa.array(unique_pair_rows(a, b)))
 
 
 def dedup_pairs(pairs, num_partitions: int, *, local_max_rows: int = 0):
-    """Global pair dedup (op 16). With ``local_max_rows`` > 0 the pair set
-    is materialized and, if it fits, deduped in one driver-side
-    ``np.unique`` — a shuffle on a few-MB pair list costs more in fixed
-    latency than it buys (hybrid split, cfg.local_state_max_rows). The
-    shuffle path remains the route for web-scale pair volumes."""
-    if local_max_rows > 0:
-        import ray.data
-
-        mat = pairs.materialize()
-        if mat.count() <= local_max_rows:
-            ak, bk = [], []
-            for t in mat.select_columns(["a", "b"]).iter_batches(
-                    batch_size=131072, batch_format="pyarrow"):
-                ak.append(t["a"].to_numpy(zero_copy_only=False)
-                          .astype(np.uint64))
-                bk.append(t["b"].to_numpy(zero_copy_only=False)
-                          .astype(np.uint64))
-            a = np.concatenate(ak) if ak else np.empty(0, np.uint64)
-            b = np.concatenate(bk) if bk else np.empty(0, np.uint64)
-            u = unique_pair_rows(a, b)
-            a, b = a[u], b[u]
-            from ray_data_mplsh.stages.shuffle import from_arrow_blocks
-
-            return from_arrow_blocks(pa.Table.from_arrays(
-                [pa.array(a, pa.uint64()), pa.array(b, pa.uint64())],
-                schema=PAIRS_SCHEMA), target_rows=2048)
-        pairs = mat
-    keyed = pairs.map_batches(_add_pair_key, batch_format="pyarrow")
-    return partition_apply(keyed, "pk", _unique_pairs, num_partitions)
+    """Global pair dedup (op 16) through ``local_or_exchange`` keyed on
+    the (a, b) pair. With ``local_max_rows`` > 0 the pair set is
+    materialized and, if its count fits, deduped in one driver-side
+    pass — a shuffle on a few-MB pair list costs more in fixed latency
+    than it buys (hybrid split, cfg.local_state_max_rows). The exchange
+    remains the route for web-scale pair volumes and for
+    ``local_max_rows=0``, which the producers with extra pair columns
+    (simhash, embedding cosine) pass: those columns ride the exchange,
+    first row per pair; the local plan keeps (a, b) only."""
+    n = 0
+    if local_max_rows > 0:      # size the set only when it may stay local
+        pairs = pairs.materialize()
+        n = pairs.count()
+    return local_or_exchange(pairs, ("a", "b"), _unique_pairs,
+                             num_partitions, n_rows=n,
+                             local_max_rows=local_max_rows,
+                             schema=PAIRS_SCHEMA)

@@ -72,39 +72,71 @@ def pool_size(cap: int = 0) -> int:
     return min(n, cap) if cap > 0 else n
 
 
-def partition_on(ds, key_col: str, num_partitions: int, *,
+def _u64(t: pa.Table, col: str) -> np.ndarray:
+    return t[col].to_numpy(zero_copy_only=False).astype(np.uint64)
+
+
+def _route_hash(batch: pa.Table, key) -> np.ndarray:
+    """mix64 routing hash of ``key``: one column, or a tuple of columns
+    folded as ``mix64(c1) ^ mix64(c2) ...`` (an (a, b) pair key)."""
+    if isinstance(key, str):
+        return mix64(_u64(batch, key))
+    h = np.zeros(batch.num_rows, np.uint64)
+    for c in key:
+        h ^= mix64(_u64(batch, c))
+    return mix64(h)
+
+
+def partition_on(ds, key, num_partitions: int, *,
                  salt_col: str | None = None):
-    """Add a ``_part`` column = hash(key) % P. With ``salt_col``, the salt is
-    folded in, sharding hot keys across partitions (hot-bucket salting,
-    SURVEY.md op 15); callers must then link shards explicitly."""
+    """Add a ``_part`` column = hash(key) % P, ``key`` being one column or
+    a tuple of columns. With ``salt_col``, the salt is folded in, sharding
+    hot keys across partitions (hot-bucket salting, SURVEY.md op 15);
+    callers must then link shards explicitly."""
 
     def add_part(batch: pa.Table) -> pa.Table:
-        keys = batch[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        h = mix64(keys)
+        h = _route_hash(batch, key)
         if salt_col is not None:
-            salt = batch[salt_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-            h = mix64(h ^ mix64(salt))
+            h = mix64(h ^ mix64(_u64(batch, salt_col)))
         part = (h % np.uint64(num_partitions)).astype(np.int32)
         return batch.append_column("_part", pa.array(part, pa.int32()))
 
     return ds.map_batches(add_part, batch_format="pyarrow")
 
 
-def partition_apply(ds, key_col: str, fn: Callable[[pa.Table], pa.Table],
+def partition_apply(ds, key, fn: Callable[[pa.Table], pa.Table],
                     num_partitions: int, *, salt_col: str | None = None):
-    """Shuffle ``ds`` so all rows with equal ``key_col`` are in one partition,
-    then apply ``fn`` once per partition (fn sees a pa.Table WITHOUT the
-    ``_part`` helper column and must do its own within-partition grouping)."""
+    """Shuffle ``ds`` so all rows with equal ``key`` (a column, or a tuple
+    of columns) are in one partition, then apply ``fn`` once per partition
+    (fn sees a pa.Table WITHOUT the ``_part`` helper column and must do its
+    own within-partition grouping)."""
 
     def per_part(part: pa.Table) -> pa.Table:
         return fn(part.drop_columns(["_part"]))
 
-    parted = partition_on(ds, key_col, num_partitions, salt_col=salt_col)
+    parted = partition_on(ds, key, num_partitions, salt_col=salt_col)
     return parted.groupby("_part").map_groups(per_part, batch_format="pyarrow")
 
 
-def _u64(t: pa.Table, col: str) -> np.ndarray:
-    return t[col].to_numpy(zero_copy_only=False).astype(np.uint64)
+def local_or_exchange(ds, key, fn: Callable[[pa.Table], pa.Table],
+                      num_partitions: int, *, n_rows: int,
+                      local_max_rows: int, schema: pa.Schema):
+    """The engine's hybrid split: run a partition-local ``fn`` (one that
+    groups by ``key`` inside its input, as every ``partition_apply`` fn
+    does) ONCE on the driver over all of ``ds`` when its ``n_rows`` fit
+    ``local_max_rows`` — a sort-shuffle has ~1s fixed latency, a few-MB
+    state is one numpy pass — else per partition through
+    ``partition_apply``. Both give the same rows, since every key group
+    lies wholly in one call either way. ``n_rows`` is a size the caller
+    already holds (an exact count or a data-derived estimate), so the
+    choice launches no job; ``local_max_rows=0`` always exchanges (the
+    forced-path switch). ``schema`` is ``fn``'s input schema: the local
+    gather casts every batch to it, so an empty or differently-typed
+    input still reaches ``fn`` well-formed."""
+    if 0 < local_max_rows and n_rows <= local_max_rows:
+        return from_arrow_blocks(fn(gather_table(ds, schema)),
+                                 target_rows=2048)
+    return partition_apply(ds, key, fn, num_partitions)
 
 
 def pair_apply(pairs, side, col: str, kernel, num_partitions: int, *,
@@ -132,8 +164,8 @@ def pair_apply(pairs, side, col: str, kernel, num_partitions: int, *,
       ``map_batches`` (``batch_size`` pairs per call).
     * exchange (no driver materialization, no size cap): one request row
       per pair end (null payload) meets the side rows in a doc-keyed
-      attach; attached ends are then routed by ``mix64(a) ^ mix64(b)`` —
-      a routing key only: pair identity is the exact (a, b), so a hash
+      attach; attached ends are then routed by the (a, b) pair key — a
+      routing hash only: pair identity is the exact (a, b), so a hash
       collision merely co-locates — and the combine runs the kernel once
       per partition.
     """
@@ -144,14 +176,11 @@ def pair_apply(pairs, side, col: str, kernel, num_partitions: int, *,
     if broadcast:
         import ray
 
-        ids_l, pay_l = [], []
-        for t in side.iter_batches(batch_size=65536, batch_format="pyarrow"):
-            ids_l.append(_u64(t, "doc_id"))
-            pay_l.append(payload(t))
-        ids = np.concatenate(ids_l) if ids_l else np.empty(0, np.uint64)
+        t = gather_table(side, pa.schema([("doc_id", pa.uint64()),
+                                          (col, payload_type)]))
+        ids = _u64(t, "doc_id")
         perm = np.argsort(ids, kind="stable")
-        ref = ray.put((ids[perm], perm, pa.concat_arrays(pay_l) if pay_l
-                       else pa.array([], payload_type)))
+        ref = ray.put((ids[perm], perm, t[col].combine_chunks()))
 
         def lookup(batch: pa.Table) -> pa.Table:
             sids, sperm, pay = cached_get(ref)
@@ -201,9 +230,7 @@ def pair_apply(pairs, side, col: str, kernel, num_partitions: int, *,
         i = np.clip(np.searchsorted(skeys, q), 0, max(len(skeys) - 1, 0))
         hit = (skeys[i] == q) if len(skeys) else np.zeros(len(q), bool)
         reqs = reqs.filter(pa.array(hit))
-        a, b = _u64(reqs, "a"), _u64(reqs, "b")
-        return pa.table({"pk": pa.array(mix64(a) ^ mix64(b), pa.uint64()),
-                         "a": reqs["a"], "b": reqs["b"],
+        return pa.table({"a": reqs["a"], "b": reqs["b"],
                          "side": reqs["side"],
                          "payload": pay.take(pa.array(i[hit]))})
 
@@ -225,7 +252,7 @@ def pair_apply(pairs, side, col: str, kernel, num_partitions: int, *,
     u = pairs.map_batches(requests, batch_format="pyarrow").union(
         side.map_batches(side_rows, batch_format="pyarrow"))
     att = partition_apply(u, "key", attach, num_partitions)
-    return partition_apply(att, "pk", combine, num_partitions)
+    return partition_apply(att, ("a", "b"), combine, num_partitions)
 
 
 def lookup_u64(sorted_keys: np.ndarray, vals: np.ndarray, q: np.ndarray,
@@ -281,18 +308,30 @@ def gather_capped(ds, max_rows: int, schema: pa.Schema) -> pa.Table | None:
     return pa.concat_tables(parts).cast(schema)
 
 
+def gather_table(ds, schema: pa.Schema) -> pa.Table:
+    """All of ``ds`` on the driver as ONE Arrow table of ``schema``'s
+    columns, every batch cast to ``schema`` — so an empty Dataset, or one
+    unioned from differently-typed sources (a checkpoint read and a fresh
+    stage), still gathers well-formed. A materialized ``ds`` is read
+    without launching a job."""
+    parts = [t.select(schema.names).cast(schema, safe=False) for t in
+             ds.iter_batches(batch_size=None, batch_format="pyarrow")]
+    return pa.concat_tables(parts) if parts else schema.empty_table()
+
+
+def gather_columns(ds, *cols: str, types: tuple = ()) -> list[np.ndarray]:
+    """The driver gather of every local and broadcast plan: ``ds``'s
+    ``cols`` as numpy arrays — uint64 unless ``types`` gives each column's
+    Arrow type."""
+    t = gather_table(ds, pa.schema(list(zip(
+        cols, types or [pa.uint64()] * len(cols)))))
+    return [t[c].to_numpy() for c in cols]
+
+
 def gather_kv(ds, key_col: str, val_col: str) -> tuple:
     """Collect a (key, value) Dataset to sorted parallel uint64 arrays —
     the broadcast-side payload for map-side lookups."""
-    ks, vs = [], []
-    for b in ds.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        ks.append(b[key_col].to_numpy(zero_copy_only=False).astype(np.uint64))
-        vs.append(b[val_col].to_numpy(zero_copy_only=False).astype(np.uint64))
-    if not ks:
-        e = np.empty(0, np.uint64)
-        return e, e
-    k = np.concatenate(ks)
-    v = np.concatenate(vs)
+    k, v = gather_columns(ds, key_col, val_col)
     o = np.argsort(k)
     return k[o], v[o]
 
@@ -320,15 +359,16 @@ def from_arrow_blocks(table: pa.Table, target_rows: int = 4096):
     """``ray.data.from_arrow`` with the table pre-sliced into multiple
     blocks. A single-block Dataset executes downstream map_batches as ONE
     task regardless of batch_size — any driver-built table feeding a
-    parallel stage must be split first."""
+    parallel stage must be split first. The result is materialized (its
+    blocks are already in the object store), so a later driver gather of
+    it launches no job."""
     import ray.data
 
     n = table.num_rows
-    if n <= target_rows:
-        return ray.data.from_arrow(table)
-    slices = [table.slice(i, target_rows)
-              for i in range(0, n, target_rows)]
-    return ray.data.from_arrow(slices)
+    if n > target_rows:
+        table = [table.slice(i, target_rows)
+                 for i in range(0, n, target_rows)]
+    return ray.data.from_arrow(table).materialize()
 
 
 def gather_slices(offs: np.ndarray, vals: np.ndarray, rows: np.ndarray

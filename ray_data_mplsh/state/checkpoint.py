@@ -57,11 +57,16 @@ def manifest_valid(cfg: MPLSHConfig, stage: str) -> bool:
 
 
 def write_stage(ds, cfg: MPLSHConfig, stage: str, wall_s: float):
-    """Write a stage Dataset to its checkpoint dir + manifest + lineage."""
+    """Write a stage Dataset to its checkpoint dir + manifest + lineage.
+    ``wall_s`` is the time spent before the call; the write itself — where
+    a lazy stage's plan actually executes — is timed here and added, so
+    the recorded wall covers the stage's real work."""
+    t0 = time.monotonic()
     d = _stage_dir(cfg, stage)
     tmp = d + f".tmp-{uuid.uuid4().hex[:8]}"
     os.makedirs(tmp, exist_ok=True)
     ds.write_parquet(tmp)
+    wall_s += time.monotonic() - t0
     # atomic-ish promote: rename into place (rerun-safe)
     if os.path.exists(d):
         import shutil

@@ -68,3 +68,26 @@ def test_config_change_invalidates(ray_session, small_fixture, tmp_path):
     cfg2 = MPLSHConfig(ckpt_dir=ckpt, run_id="r1", theta=0.7)
     assert cfg2.digest() != cfg.digest()
     assert not manifest_valid(cfg2, "sigs")
+
+
+def test_manifest_wall_covers_the_write(ray_session, small_fixture, tmp_path,
+                                        monkeypatch):
+    """A stage's manifest wall times the write, where its lazy plan
+    actually runs, not only the plan's construction: with every parquet
+    write slowed by 0.3 s, the sigs manifest must record at least that."""
+    import json
+    import time
+
+    import ray.data
+
+    write = ray.data.Dataset.write_parquet
+
+    def slow_write(self, *args, **kwargs):
+        time.sleep(0.3)
+        return write(self, *args, **kwargs)
+
+    monkeypatch.setattr(ray.data.Dataset, "write_parquet", slow_write)
+    ckpt = str(tmp_path / "ckpt")
+    _run(small_fixture, ckpt)
+    with open(os.path.join(ckpt, "r1", "sigs", "_SUCCESS")) as f:
+        assert json.load(f)["wall_s"] >= 0.3

@@ -155,8 +155,8 @@ def test_winnow_batch_equals_per_doc():
         # batch path
         import pyarrow as pa
 
-        from ray_data_mplsh.stages.output import _utf8_flat
-        offs, data = _utf8_flat(pa.array(texts, pa.string()))
+        from ray_data_mplsh.functions.hashing import utf8_flat
+        offs, data = utf8_flat(pa.array(texts, pa.string()))
         fp, di = winnow_fingerprints_batch(offs, data, k, w)
         # per-doc reference
         want_fp, want_di = [], []
@@ -174,15 +174,16 @@ def test_winnow_batch_equals_per_doc():
 def test_winnow_batch_empty_and_unicode():
     import pyarrow as pa
 
-    from ray_data_mplsh.functions.hashing import winnow_fingerprints_batch
-    from ray_data_mplsh.stages.output import _utf8_flat
+    from ray_data_mplsh.functions.hashing import (
+        utf8_flat, winnow_fingerprints_batch,
+    )
 
-    offs, data = _utf8_flat(pa.array([], pa.string()))
+    offs, data = utf8_flat(pa.array([], pa.string()))
     fp, di = winnow_fingerprints_batch(offs, data, 5, 4)
     assert len(fp) == 0 and len(di) == 0
     # multi-byte utf-8: byte-level grams must match per-doc encode path
     texts = ["héllo wörld çafé crème brûlée" * 3, "日本語のテキスト" * 5]
-    offs, data = _utf8_flat(pa.array(texts, pa.string()))
+    offs, data = utf8_flat(pa.array(texts, pa.string()))
     fp, di = winnow_fingerprints_batch(offs, data, 5, 4)
     for i, t in enumerate(texts):
         f = np.unique(winnow_fingerprints(t, 5, 4)[0])
@@ -195,22 +196,22 @@ def test_utf8_flat_offset_widths():
     int32 read of an int64 buffer returns garbage with no error."""
     import pyarrow as pa
 
-    from ray_data_mplsh.stages.output import _utf8_flat
+    from ray_data_mplsh.functions.hashing import utf8_flat
 
     texts = ["ab", "c", "", "défg", "hij" * 40]
-    want_off, want_data = _utf8_flat(pa.array(texts, pa.string()))
+    want_off, want_data = utf8_flat(pa.array(texts, pa.string()))
     for typ in (pa.large_string(), pa.string()):
-        off, data = _utf8_flat(pa.array(texts, typ))
+        off, data = utf8_flat(pa.array(texts, typ))
         assert np.array_equal(off, want_off), typ
         assert np.array_equal(data, want_data), typ
         # sliced array: non-zero col.offset path
-        off, data = _utf8_flat(pa.array(texts, typ).slice(1, 3))
-        woff, wdata = _utf8_flat(pa.array(texts[1:4], pa.string()))
+        off, data = utf8_flat(pa.array(texts, typ).slice(1, 3))
+        woff, wdata = utf8_flat(pa.array(texts[1:4], pa.string()))
         assert np.array_equal(off, woff), typ
         assert np.array_equal(data, wdata), typ
     # binary flavors route through the same branches
-    boff, bdata = _utf8_flat(pa.array([t.encode() for t in texts],
-                                      pa.large_binary()))
+    boff, bdata = utf8_flat(pa.array([t.encode() for t in texts],
+                                     pa.large_binary()))
     assert np.array_equal(boff, want_off)
     assert np.array_equal(bdata, want_data)
 

@@ -189,3 +189,53 @@ def test_embedding_near_dup_finds_planted(emb_data):
     assert truly, "fixture should plant pairs above threshold"
     rec = len(found & truly) / len(truly)
     assert rec >= 0.95, f"near-dup recall {rec:.2f}"
+
+
+def test_knn_on_one_cpu_cluster_completes(tmp_path):
+    """knn_lsh / knn_bruteforce over a parquet read on a 1-CPU Ray (in a
+    subprocess, so the session cluster's CPUs do not hide it): their
+    scoring stages are plain tasks, so nothing holds the only CPU while
+    the upstream read waits for it."""
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import sys
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+import ray.data as rd
+
+root, path = sys.argv[1], sys.argv[2]
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR",
+         runtime_env={"env_vars": {"PYTHONPATH": root}})
+rd.DataContext.get_current().enable_progress_bars = False
+from ray_data_mplsh.pipelines.similarity import knn_bruteforce, knn_lsh
+
+rng = np.random.Generator(np.random.PCG64(3))
+m = rng.standard_normal((600, 16)).astype(np.float32)
+pq.write_table(pa.table({
+    "vec_id": pa.array(np.arange(600), pa.int64()),
+    "embedding": pa.FixedSizeListArray.from_arrays(
+        pa.array(m.reshape(-1), pa.float32()), 16)}), path)
+ds = rd.read_parquet(path)
+a = knn_lsh(ds, np.arange(4), m[:4], k=5)
+b = knn_bruteforce(ds, np.arange(4), m[:4], k=5)
+print("ROWS", a.num_rows, b.num_rows)
+ray.shutdown()
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, root,
+         str(tmp_path / "emb.parquet")],
+        cwd=root, capture_output=True, text=True, timeout=240,
+        env={**os.environ, "PYTHONPATH": root})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    rows = proc.stdout.split("ROWS")[-1].split()
+    # brute force returns k rows per query; LSH at least each query's own
+    # vector (an exact hit in its home bucket)
+    assert int(rows[0]) >= 4 and int(rows[1]) == 20, proc.stdout
