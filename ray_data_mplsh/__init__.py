@@ -7,10 +7,10 @@ Multi-Probe LSH of Lv et al., VLDB 2007), transplanted from online k-NN
 search into offline web-scale text dedup per ``SURVEY.md`` §0.2:
 
     HTML -> byte-exact text -> k-shingles -> MinHash signatures (vectorized
-    NumPy on actor pools) -> LSH band keys augmented with multi-probe
+    NumPy on plain tasks) -> LSH band keys augmented with multi-probe
     perturbation keys -> (band_id, band_hash) shuffle with hot-bucket
     salting -> candidate pairs -> Jaccard verification -> distributed
-    union-find (iterative star contraction) -> suffix-array substring pass
+    union-find (iterative star contraction) -> winnow-anchored substring pass
     -> deduplicated corpus + cluster map, with lineage and resumable
     Parquet checkpoints.
 

@@ -100,7 +100,9 @@ class MPLSHConfig:
                                   # it the one-shot broadcast is measurably
                                   # faster than two text-bearing exchanges
                                   # (single-node bench: 509MB broadcast beat
-                                  # the shuffle attach by ~30s per run)
+                                  # the shuffle attach by ~30s per run).
+                                  # S2 gathers its corpus whole to the
+                                  # driver only under this bound too
     minhash_batch_size: int = 1024
 
     # --- checkpointing (ops 3-4) ---

@@ -382,24 +382,19 @@ def _rwa_block(g: np.ndarray, w: int) -> np.ndarray:
     upd_r = np.concatenate(
         [np.ones((nb, 1), bool), rcum[:, 1:] < rcum[:, :-1]], axis=1)
     arg_r = np.maximum.accumulate(np.where(upd_r, col[None, :], -1), axis=1)
-    # combine via FLAT views (no 2D fancy gathers): window i = q*w + r
+    # combine via FLAT views of ABSOLUTE indices (each block row's offset
+    # q*w added in 2D, so no per-window i % w arrays): window i = q*w + r
     # reads its suffix part at flat index i and its prefix part at flat
     # index j = i+w-1 (row q+1 col r-1 for r>=1; for r==0, j lands on
     # (q, w-1) — the full-block prefix — whose min/argmin equal the
     # full-block suffix at (q, 0), and the <= tie rule then returns the
     # same rightmost argmin, so aligned windows need no special case)
-    suf_arg_flat = (w - 1 - arg_r)[:, ::-1].reshape(-1)
-    suf_min_flat = rcum[:, ::-1].reshape(-1)
-    pre_min_flat = pre_min.reshape(-1)
-    pre_arg_flat = pre_arg.reshape(-1)
-    i = np.arange(nwin, dtype=np.int64)
-    r = np.resize(col, nwin)                              # i % w
-    jmod = np.resize(np.concatenate(([np.int64(w - 1)],
-                                     col[:w - 1])), nwin)  # (i+w-1) % w
-    a_arg = (i - r) + suf_arg_flat[:nwin]
-    b_arg = (i + (w - 1) - jmod) + pre_arg_flat[w - 1:w - 1 + nwin]
-    use_b = pre_min_flat[w - 1:w - 1 + nwin] <= suf_min_flat[:nwin]
-    return np.where(use_b, b_arg, a_arg)
+    base = (np.arange(nb, dtype=np.int64) * w)[:, None]
+    suf_abs = ((w - 1 - arg_r)[:, ::-1] + base).reshape(-1)
+    pre_abs = (pre_arg + base).reshape(-1)
+    use_b = pre_min.reshape(-1)[w - 1:w - 1 + nwin] \
+        <= rcum[:, ::-1].reshape(-1)[:nwin]
+    return np.where(use_b, pre_abs[w - 1:w - 1 + nwin], suf_abs[:nwin])
 
 
 # --- winnowing fingerprints for the substring pass (op 24; Schleimer et al.,
@@ -412,73 +407,91 @@ def _rwa_block(g: np.ndarray, w: int) -> np.ndarray:
 _WINNOW_CHUNK_BYTES = 2_000_000
 
 
-def winnow_fingerprints_batch(offs: np.ndarray, data: np.ndarray,
-                              k: int, w: int
-                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-doc UNIQUE winnow fingerprints for a whole batch: ``data`` is
-    the concatenated utf-8 bytes of all docs, ``offs`` (int64, len
-    n_docs+1) their boundaries. Fingerprints are per-doc (windows never
-    straddle docs), so the batch is processed in doc-aligned chunks of
-    ~_WINNOW_CHUNK_BYTES — results are bit-identical to one flat pass at
-    any chunking (fuzz-pinned in tests/test_hashing.py). Returns
-    (fps uint64, doc_index int64) sorted by (doc, fp)."""
+def winnow_anchors_batch(offs: np.ndarray, data: np.ndarray, k: int, w: int
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every winnow-selected (fingerprint, byte position) of a whole
+    batch — the anchors of the substring pass: ``data`` is the
+    concatenated utf-8 bytes of all docs, ``offs`` (int64, len n_docs+1)
+    their boundaries. Per doc, the (fp, position) set equals
+    ``winnow_fingerprints(text)`` (positions doc-relative). Windows never
+    straddle docs, so the batch is processed in doc-aligned chunks of
+    ~_WINNOW_CHUNK_BYTES, bit-identical to one flat pass at any chunking.
+    Returns (fps uint64, positions int64, doc_index int64) sorted by
+    (doc, fp, position)."""
     n_docs = len(offs) - 1
     if len(data) > _WINNOW_CHUNK_BYTES and n_docs > 1:
-        fps, dis = [], []
+        parts = []
         d0 = 0
         while d0 < n_docs:
             limit = offs[d0] + _WINNOW_CHUNK_BYTES
             d1 = int(np.searchsorted(offs, limit, side="right")) - 1
             d1 = min(max(d1, d0 + 1), n_docs)
             sub = (offs[d0:d1 + 1] - offs[d0]).astype(np.int64)
-            f, di = _winnow_chunk(sub, data[offs[d0]:offs[d1]], k, w)
-            fps.append(f)
-            dis.append(di + d0)
+            f, p, di = _anchor_chunk(sub, data[offs[d0]:offs[d1]], k, w)
+            parts.append((f, p, di + d0))
             d0 = d1
-        return np.concatenate(fps), np.concatenate(dis)
-    return _winnow_chunk(offs, data, k, w)
+        return tuple(np.concatenate(c) for c in zip(*parts))
+    return _anchor_chunk(offs, data, k, w)
 
 
-def _winnow_chunk(offs: np.ndarray, data: np.ndarray,
-                  k: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """One doc-aligned chunk of winnow_fingerprints_batch. Window minima
-    are intrinsic to the window contents — independent of the kernel's
+def winnow_fingerprints_batch(offs: np.ndarray, data: np.ndarray,
+                              k: int, w: int
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-doc UNIQUE winnow fingerprints for a whole batch (the
+    ``winnow_anchors_batch`` fps with positions dropped): bit-equal per
+    doc to ``np.unique(winnow_fingerprints(text)[0])`` (fuzz-pinned in
+    tests/test_hashing.py). Returns (fps uint64, doc_index int64) sorted
+    by (doc, fp)."""
+    fp, _, doc = winnow_anchors_batch(offs, data, k, w)
+    keep = first_of_runs(doc, fp)
+    return fp[keep], doc[keep]
+
+
+def first_of_runs(doc: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """Mask of the first row of each (doc, fp) run in rows sorted by
+    (doc, fp): the per-doc unique fingerprints of an anchor list."""
+    keep = np.ones(len(doc), bool)
+    keep[1:] = (doc[1:] != doc[:-1]) | (fp[1:] != fp[:-1])
+    return keep
+
+
+def _anchor_chunk(offs: np.ndarray, data: np.ndarray, k: int, w: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One doc-aligned chunk of winnow_anchors_batch. Window minima are
+    intrinsic to the window contents — independent of the kernel's
     internal block alignment — so one flat ``poly_window_hashes`` +
     ``rightmost_window_argmin`` over the concatenation, masked to window
-    starts that lie fully inside one doc, is bit-equal per doc to
-    ``np.unique(winnow_fingerprints(text)[0])``."""
-    n_docs = len(offs) - 1
+    starts that lie fully inside one doc, selects per doc exactly what
+    ``winnow_fingerprints(text)`` selects."""
     lens = np.diff(offs)
     e64, e_i = np.empty(0, np.uint64), np.empty(0, np.int64)
     if len(data) < k:
-        return e64, e_i
+        return e64, e_i, e_i
     g = mix64(poly_window_hashes(data.astype(np.uint64), k))
     m = lens - k + 1                      # grams per doc (may be <= 0)
     gstart = offs[:-1]
-    # docs with >= w grams: every length-w gram window selects its
-    # rightmost minimum
-    big = m >= w
-    if np.any(big) and len(g) >= w:
-        sel_flat = rightmost_window_argmin(g, w)
-        cnt = np.where(big, m - w + 1, 0).astype(np.int64)
-        cum = np.concatenate(([0], np.cumsum(cnt)))
-        rows = np.repeat(np.arange(n_docs, dtype=np.int64), cnt)
-        win = np.arange(cum[-1], dtype=np.int64) - cum[rows] + gstart[rows]
-        pos_a, doc_a = sel_flat[win], rows
-        # winnow selections are monotone non-decreasing as the window
-        # slides (rightmost tie-break), so consecutive-dedup IS full
-        # per-doc dedup — do it here, before the (fp, doc) sort, to cut
-        # ~w× rows from the expensive part
-        if len(pos_a):
-            keep = np.concatenate(([True], (doc_a[1:] != doc_a[:-1]) |
-                                   (pos_a[1:] != pos_a[:-1])))
-            pos_a, doc_a = pos_a[keep], doc_a[keep]
+    # docs with >= w grams: every length-w gram window wholly inside the
+    # doc selects its rightmost minimum. Valid window starts are the runs
+    # [gstart, gstart + m - w] of those docs, marked by an edge cumsum
+    big = np.flatnonzero(m >= w)
+    if len(big):
+        sel = rightmost_window_argmin(g, w)
+        edge = np.zeros(len(sel) + 1, np.int8)
+        edge[gstart[big]] += 1
+        edge[gstart[big] + m[big] - w + 1] -= 1
+        pos = sel[np.cumsum(edge[:-1], dtype=np.int8) > 0]
+        # selections are monotone non-decreasing as the window slides
+        # (rightmost tie-break) and never cross a doc boundary, so
+        # consecutive dedup IS full per-doc dedup
+        if len(pos):
+            pos = pos[np.concatenate(([True], pos[1:] != pos[:-1]))]
     else:
-        pos_a, doc_a = e_i, e_i
+        pos = e_i
     # docs with 1 <= m < w: single fingerprint at the LEFTMOST gram argmin
     # (np.argmin semantics of the per-doc reference)
     small = (m >= 1) & (m < w)
     if np.any(small):
+        n_docs = len(offs) - 1
         cnt = np.where(small, m, 0).astype(np.int64)
         cum = np.concatenate(([0], np.cumsum(cnt)))
         rows = np.repeat(np.arange(n_docs, dtype=np.int64), cnt)
@@ -487,18 +500,13 @@ def _winnow_chunk(offs: np.ndarray, data: np.ndarray,
         o = np.lexsort((rel, g[flat], rows))
         first = np.flatnonzero(np.concatenate(
             ([True], rows[o][1:] != rows[o][:-1])))
-        pos_b, doc_b = flat[o][first], rows[o][first]
-    else:
-        pos_b, doc_b = e_i, e_i
-    doc = np.concatenate([doc_a, doc_b])
-    fp = g[np.concatenate([pos_a, pos_b])]
-    if len(doc) == 0:
-        return e64, e_i
-    o = np.lexsort((fp, doc))
-    doc, fp = doc[o], fp[o]
-    keep = np.concatenate(
-        ([True], (doc[1:] != doc[:-1]) | (fp[1:] != fp[:-1])))
-    return fp[keep], doc[keep]
+        pos = np.sort(np.concatenate([pos, flat[o][first]]))
+    if len(pos) == 0:
+        return e64, e_i, e_i
+    doc = np.searchsorted(gstart, pos, side="right") - 1
+    fp = g[pos]
+    o = np.lexsort((fp, doc))     # stable: position order kept per fp
+    return fp[o], (pos - gstart[doc])[o], doc[o]
 
 
 def winnow_fingerprints(text: str, k: int, w: int) -> tuple[np.ndarray, np.ndarray]:

@@ -99,20 +99,29 @@ def _byte_gram_hashes(raw: np.ndarray, k: int) -> np.ndarray:
 
 def cross_match_intervals(a: str, b: str, min_len: int) -> list[tuple[int, int]]:
     """Byte intervals of ``b`` covered by substrings of length >= min_len
-    that also occur in ``a`` ([Lee22 §3] span detection).
+    that also occur in ``a`` ([Lee22 §3] span detection) — the reference
+    of the pipeline's anchor kernel (``anchor_match_intervals``) and the
+    oracle's span step.
 
     A byte of b lies in a shared span of length >= L iff it lies in some
     shared window of length EXACTLY L, so the merged union of matching
     L-windows equals the merged union of maximal shared spans — computed
     here as a sorted-array intersection of 64-bit window hashes (collision
-    probability ~2^-64 per window pair; the suffix-array path below remains
+    probability ~2^-64 per window pair; the suffix-array path above remains
     as the exact reference kernel). Fully vectorized: no per-rank Python
     loop, ~100x faster per pair than the SA sweep at web-page sizes.
     """
     if not a or not b or len(b) < min_len:
         return []
-    ra = np.frombuffer(a.encode("utf-8", errors="replace"), dtype=np.uint8)
-    rb = np.frombuffer(b.encode("utf-8", errors="replace"), dtype=np.uint8)
+    return _window_match_intervals(
+        np.frombuffer(a.encode("utf-8", errors="replace"), dtype=np.uint8),
+        np.frombuffer(b.encode("utf-8", errors="replace"), dtype=np.uint8),
+        min_len)
+
+
+def _window_match_intervals(ra: np.ndarray, rb: np.ndarray, min_len: int
+                            ) -> list[tuple[int, int]]:
+    """cross_match_intervals over utf-8 byte arrays."""
     if len(ra) < min_len or len(rb) < min_len:
         return []
     ha = np.sort(_byte_gram_hashes(ra, min_len))
@@ -122,11 +131,85 @@ def cross_match_intervals(a: str, b: str, min_len: int) -> list[tuple[int, int]]
     if len(ps) == 0:
         return []
     # all intervals are [p, p+L): a new merged run starts when the gap > L
-    new_run = np.concatenate(([True], ps[1:] > ps[:-1] + min_len))
-    starts = ps[new_run]
-    run_idx = np.flatnonzero(new_run)
-    last = np.concatenate((ps[run_idx[1:] - 1], [ps[-1]])) + min_len
-    return list(zip(starts.tolist(), last.tolist()))
+    return _merge_runs(ps, ps + min_len)
+
+
+def _merge_runs(s: np.ndarray, e: np.ndarray) -> list[tuple[int, int]]:
+    """Union of intervals [s, e) sorted by s, touching ones merged."""
+    if len(s) > 1:
+        new = np.concatenate(([True], s[1:] > np.maximum.accumulate(e)[:-1]))
+        first = np.flatnonzero(new)
+        s, e = s[first], np.maximum.reduceat(e, first)
+    return list(zip(s.tolist(), e.tolist()))
+
+
+def anchor_match_intervals(ra: np.ndarray, rb: np.ndarray,
+                           fa: np.ndarray, posa: np.ndarray,
+                           fb: np.ndarray, posb: np.ndarray,
+                           min_len: int, k: int, w: int
+                           ) -> list[tuple[int, int]]:
+    """``cross_match_intervals`` of two docs' utf-8 bytes ``ra``/``rb``
+    from their winnow anchors ((fp, byte position) pairs, ``fa`` sorted
+    ascending), comparing bytes only next to aligned anchors.
+
+    Anchors pin every shared window when ``min_len >= k + w - 1`` (k the
+    gram size, w the winnow window): a shared ``min_len`` window holds
+    the same first w k-grams in both docs, so winnowing picks the same
+    gram at the same offset r < w of the window in each — an anchor pair (qa, qb) with equal fp on the window's
+    diagonal d = qb - qa, the window lying inside b's
+    [qb - (w-1), qb + min_len). Those neighbourhoods are merged per
+    diagonal, b's bytes are compared with a's at offset -d, and every run
+    of equal bytes >= min_len is a union of shared windows; conversely
+    every shared window lies in one neighbourhood. Byte comparison leaves
+    no hash-collision caveat. The linear hash-window kernel of
+    ``cross_match_intervals`` runs instead when ``min_len`` is shorter,
+    or when repeats make the anchor join larger than a quarter of the
+    two docs' bytes (tie runs such as "aaaa...", boilerplate repeated in
+    both docs)."""
+    la, lb = len(ra), len(rb)
+    if la < min_len or lb < min_len or not len(fa) or not len(fb):
+        return []
+    if lb < 4 * min_len and \
+            np.count_nonzero((rb & 0xC0) != 0x80) < min_len:
+        return []       # the reference's rule: b under min_len characters
+    lo = np.searchsorted(fa, fb, "left")
+    cnt = np.searchsorted(fa, fb, "right") - lo
+    total = int(cnt.sum())
+    if total == 0:
+        return []
+    if 4 * total > la + lb or min_len < k + w - 1:
+        return _window_match_intervals(ra, rb, min_len)
+    jb = np.repeat(np.arange(len(fb)), cnt)
+    ja = np.arange(total) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+    qb = posb[jb]
+    d = qb - posa[ja]
+    # neighbourhoods in b's coordinates, clipped to both docs (a = b - d)
+    s = np.maximum(np.maximum(qb - (w - 1), d), 0)
+    e = np.minimum(np.minimum(qb + min_len, lb), la + d)
+    ok = e - s >= min_len
+    if not ok.any():
+        return []
+    d, s, e = d[ok], s[ok], e[ok]
+    o = np.lexsort((s, d))
+    d, s, e = merge_intervals_grouped(d[o], s[o], e[o])
+    lens = e - s
+    first = np.cumsum(lens) - lens
+    bpos = np.arange(int(lens.sum())) + np.repeat(s - first, lens)
+    eq = rb[bpos] == ra[bpos - np.repeat(d, lens)]
+    # runs of equal bytes, split at neighbourhood borders
+    border = np.zeros(len(eq) + 1, bool)
+    border[first] = True
+    border[-1] = True
+    prev = np.concatenate(([False], eq[:-1])) & ~border[:-1]
+    nxt = np.concatenate((eq[1:], [False])) & ~border[1:]
+    rs = np.flatnonzero(eq & ~prev)
+    re_ = np.flatnonzero(eq & ~nxt) + 1
+    keep = re_ - rs >= min_len
+    if not keep.any():
+        return []
+    bs, be = bpos[rs[keep]], bpos[re_[keep] - 1] + 1
+    o = np.argsort(bs, kind="stable")
+    return _merge_runs(bs[o], be[o])
 
 
 def merge_intervals_grouped(doc: "np.ndarray", s: "np.ndarray",

@@ -65,7 +65,7 @@ def run_dedup(pages, cfg: MPLSHConfig, *, extract: bool = True,
         counters)
     reps = docs_rep.map_batches(_only_reps, batch_format="pyarrow")
 
-    # S3: MinHash signatures (actor pool) — the expensive stage, checkpointed
+    # S3: MinHash signatures (plain tasks) — the expensive stage, checkpointed
     sigs = read_stage_or_compute(cfg, "sigs",
                                  lambda: minhash_stage(reps, cfg), counters)
     sigs = sigs.materialize()
@@ -96,13 +96,14 @@ def run_dedup(pages, cfg: MPLSHConfig, *, extract: bool = True,
             lambda: connected_components(
                 verified, cfg, P, n_edges=counters["n_verified"]), counters)
 
-    # S8: cluster assignment + canonical flag, one pass (incl. exact-dup
-    # members)
+    # S8: cluster assignment + canonical flag (incl. exact-dup members):
+    # a lazy map that launches no job — is_canonical is
+    # doc_id == cluster_id, see assign_and_mark
     marked = assign_and_mark(docs_rep, labels, cfg)
 
-    # S9: suffix-array substring pass over canonical survivors.
-    # substring_stage runs eager driver work (canon materialize, span
-    # merge), so it is built INSIDE the resume lambda — a run whose
+    # S9: winnow-anchored substring pass over canonical survivors.
+    # substring_stage runs eager driver work (anchored canon materialize,
+    # span merge), so it is built INSIDE the resume lambda — a run whose
     # dedup_out checkpoint is valid skips S9 entirely.
     def _s9():
         if skip_substring:

@@ -198,6 +198,15 @@ def _adoption_map_broadcast(new_tbl: pa.Table, base_reps_slim
     return k[so], v[so]
 
 
+def _below_rep(t: pa.Table) -> pa.Table:
+    """(doc_id, rep_id) rows of docs with a smaller id than their rep."""
+    did = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    rep = t["rep_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    m = did < rep
+    return pa.table({"doc_id": pa.array(did[m], pa.uint64()),
+                     "rep_id": pa.array(rep[m], pa.uint64())})
+
+
 def _delta_ids_nospans(marked, new_ids: np.ndarray,
                        cap: int = 4_000_000) -> np.ndarray | None:
     """Delta doc set when the substring pass is OFF: the new shard plus
@@ -356,25 +365,27 @@ def _substring_incremental(marked, cfg: MPLSHConfig, P: int,
         .map_batches(keep_fps, batch_format="pyarrow",
                      batch_size=1 << 20)   # whole-block filter, no shred
 
-    def only_new_canon(t: pa.Table) -> pa.Table:
-        nid = cached_get(nref)
-        did = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        can = t["is_canonical"].to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(can & isin_sorted(nid, did)))
+    def keep_ids(ref):
+        def fn(t: pa.Table) -> pa.Table:
+            did = t["doc_id"].to_numpy(zero_copy_only=False) \
+                .astype(np.uint64)
+            return t.filter(pa.array(isin_sorted(cached_get(ref), did)))
+        return fn
 
-    new_canon = marked.select_columns(["doc_id", "text", "is_canonical"]) \
-        .map_batches(only_new_canon, batch_format="pyarrow") \
-        .select_columns(["doc_id", "text"])
-    # joint canon stats: the same data-sized gates as substring_stage
+    # joint canon stats: the data-sized gates of the pairing and the span
+    # attach (canon_bytes: text plus 12 B/doc)
     canon, n_canon, canon_bytes = _out._canon_stats(marked)
     n_fps = _out._fp_rows(n_canon, canon_bytes, cfg)
     pe = sized_partitions(n_fps, P)
 
     # the emitter feeds the pairing exchange, so its bundling gate keys
     # on the JOINT canon stats — the exchange is joint-sized however
-    # small the new shard is, and new_canon inherits the whole corpus's
-    # sliver block structure.
-    fps_new = _out._fingerprints(new_canon, n_canon, canon_bytes, cfg)
+    # small the new shard is, and the new canonical docs inherit the
+    # whole corpus's sliver block structure.
+    fps_new = canon.map_batches(keep_ids(nref), batch_format="pyarrow") \
+        .map_batches(_out._fingerprint_emitter(cfg), batch_format="pyarrow",
+                     batch_size=_out._bundle_batch_size(n_canon,
+                                                        canon_bytes))
     fps = base_fps.union(fps_new)
     ts = time.monotonic()
     if save_cfg is not None:
@@ -438,7 +449,8 @@ def _substring_incremental(marked, cfg: MPLSHConfig, P: int,
                 [kind, np.full(int(vm.sum()), 2, np.int8)]), pa.int8())})
 
     tagged = partition_apply(u, ("a", "b"), split, pe).materialize()
-    fresh = tagged.filter(expr="kind == 0").select_columns(["a", "b"])
+    fresh = tagged.filter(expr="kind == 0").select_columns(["a", "b"]) \
+        .materialize()
     reused_pairs = tagged.filter(expr="kind == 1") \
         .select_columns(["a", "b"])
     counters["n_substr_pairs_reused"] = reused_pairs.count()
@@ -493,8 +505,14 @@ def _substring_incremental(marked, cfg: MPLSHConfig, P: int,
 
     reused_spans = partition_apply(u2, ("a", "b"), pick, pe)
 
-    # 7. fresh spans through the standard attach gates
-    fresh_spans = _out._pair_spans(fresh, canon, n_canon, canon_bytes, cfg,
+    # 7. fresh spans through the standard attach gates, with anchors
+    # computed for the fresh pairs' docs only (the base spans of reused
+    # pairs need none)
+    fref = ray.put(np.unique(np.concatenate(gather_columns(fresh, "a",
+                                                           "b"))))
+    side = canon.map_batches(keep_ids(fref), batch_format="pyarrow") \
+        .map_batches(_out._anchor_emitter(cfg), batch_format="pyarrow")
+    fresh_spans = _out._pair_spans(fresh, side, n_canon, canon_bytes, cfg,
                                    P)
     spans = reused_spans.union(fresh_spans)
     if save_cfg is not None:
@@ -682,6 +700,18 @@ def run_dedup_incremental(new_pages, cfg: MPLSHConfig, *, base_run_id: str,
         return batch.drop_columns(["rep_id"]).append_column(
             "rep_id", pa.array(rep2, pa.uint64()))
 
+    # adopted docs keep their base rep whatever their own id, so they are
+    # the only docs that can undercut their cluster's id (assign_and_mark):
+    # this shard's, and — when the base is itself a saved fold — the ones
+    # earlier folds adopted, found by a slim scan of the base docs
+    nd, nr = gather_columns(new_docs, "doc_id", "rep_id")
+    m = isin_sorted(ak, nr)
+    bd, br = gather_columns(
+        _base_stage_ds(base_cfg, cfg, "docs", columns=["doc_id", "rep_id"])
+        .map_batches(_below_rep, batch_format="pyarrow"), "doc_id", "rep_id")
+    adopted = (np.concatenate([nd[m], bd]),
+               np.concatenate([lookup_u64(ak, av, nr[m], default=nr[m]),
+                               br]))
     new_docs = new_docs.map_batches(adopt, batch_format="pyarrow") \
         .materialize()
     lap("adopt")
@@ -744,7 +774,7 @@ def run_dedup_incremental(new_pages, cfg: MPLSHConfig, *, base_run_id: str,
         labels = connected_components(verified, cfg, P,
                                       n_edges=counters["n_verified"])
     lap("cc")
-    marked = assign_and_mark(docs_all, labels, cfg)
+    marked = assign_and_mark(docs_all, labels, cfg, adopted=adopted)
     lap("mark")
     if output not in ("joint", "delta"):
         raise ValueError(f"output must be 'joint' or 'delta', got "

@@ -3990,11 +3990,11 @@ def q_tpch_q3(sf_dir: str, broadcast_max_rows: int = 4_000_000):
 
 
 class _PatternScanner:
-    """Actor-pool text-pattern scan stage (the stateful map_batches
-    pattern: registry/setup once per actor in __init__, vectorized work
-    per batch in __call__ — the slot where a PII model or a big compiled
-    automaton would live). Counting uses Arrow's RE2 kernel, the same
-    engine DuckDB uses, so the counts are oracle-exact."""
+    """Text-pattern scan stage (registry/setup once per worker process in
+    __init__, vectorized work per batch in __call__ — the slot where a
+    PII model or a big compiled automaton would live). Counting uses
+    Arrow's RE2 kernel, the same engine DuckDB uses, so the counts are
+    oracle-exact."""
 
     PATTERNS = {"n_long_words": "[a-z]{6,}", "n_vowel_runs": "[aeiou]{2,}"}
 
@@ -4011,17 +4011,18 @@ class _PatternScanner:
 
 
 def q_pattern_counts(sf_dir: str):
-    """Per-doc regex pattern counts on an ACTOR POOL — map-side only, no
-    exchange; see _PatternScanner. Autoscaling (1, CPUs-1) pool: the min=1
-    floor keeps a 4-CPU test session from deadlocking (a FIXED pool of
-    cluster-width actors reserves every CPU and starves the upstream read
-    tasks), while the pool_size() ceiling lets the scan use the whole
-    cluster instead of the former hard cap of 4 actors."""
-    from ray_data_mplsh.stages.shuffle import pool_size
+    """Per-doc regex pattern counts — map-side only, no exchange; see
+    _PatternScanner. Plain tasks with the scanner memoized per worker
+    process (``shuffle.task_local``): an actor pool holds its CPUs
+    between batches, and on a 1-CPU cluster its one actor starved the
+    upstream read task forever."""
+    from ray_data_mplsh.stages.shuffle import task_local
+
+    def scan(t: pa.Table) -> pa.Table:
+        return task_local("pattern_scanner", _PatternScanner)(t)
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(_PatternScanner, batch_format="pyarrow",
-                          concurrency=(1, pool_size()))
+    return ds.map_batches(scan, batch_format="pyarrow")
 
 
 def q_user_activity_histogram(sf_dir: str):

@@ -69,7 +69,8 @@ def exact_dedup_stage(docs, cfg: MPLSHConfig, num_partitions: int):
 
     Hybrid: the dup-member map comes from the SLIM (doc_id, text_hash)
     projection only, through ``local_or_exchange`` (one driver pass under
-    ``cfg.local_state_max_rows`` docs, else a text_hash-keyed exchange);
+    ``cfg.local_state_max_rows`` docs, else a text_hash-keyed exchange of
+    the projection);
     when it fits ``cfg.broadcast_max_docs`` it is broadcast and rep_id is
     annotated map-side, so the wide text column never crosses the wire.
     Above the threshold, the full sorted-shuffle path co-locates equal
@@ -83,9 +84,13 @@ def exact_dedup_stage(docs, cfg: MPLSHConfig, num_partitions: int):
     # split and the exchange width key off the real corpus size
     n_corpus = hashed.count()
     pe = sized_partitions(n_corpus, num_partitions)
+    # the local branch gathers a driver-sized corpus whole (a materialized
+    # Dataset reads without a job); above the substring pass's text bound
+    # it is projected first, in a job, so its text never reaches the driver
+    src = hashed if hashed.size_bytes() <= cfg.substr_broadcast_max_bytes \
+        else hashed.select_columns(["doc_id", "text_hash"])
     members = local_or_exchange(
-        hashed.select_columns(["doc_id", "text_hash"]), "text_hash",
-        _rep_member_pairs, pe, n_rows=n_corpus,
+        src, "text_hash", _rep_member_pairs, pe, n_rows=n_corpus,
         local_max_rows=cfg.local_state_max_rows,
         schema=pa.schema([("doc_id", pa.uint64()),
                           ("text_hash", pa.uint64())])).materialize()

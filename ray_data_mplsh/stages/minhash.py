@@ -1,11 +1,13 @@
 """S3: shingle + MinHash signatures (SURVEY.md ops 10-12).
 
 ``MinHasher`` is a callable CLASS: the K permutation parameters are built
-once per worker process in ``__init__`` from the seeded PCG64 (never
-shipped per batch); ``__call__`` is a fully vectorized NumPy kernel —
+in ``__init__`` from the seeded PCG64 (never shipped per batch), once per
+worker process — ``minhash_stage`` runs plain tasks that memoize one
+MinHasher per process; ``__call__`` is a fully vectorized NumPy kernel —
 tokenize the whole batch with pandas C string ops, hash words in one
 SipHash pass, Horner-roll k-shingles, broadcast-minimize over the K
-permutations (BASELINE.json:6 "vectorized NumPy kernel on actor pools").
+permutations (BASELINE.json:6 "vectorized NumPy kernel", on tasks rather
+than the actor pools it names).
 
 Signatures are ``fixed_size_list<uint64, K>`` so downstream stages view
 them zero-copy as an (n, K) NumPy matrix (SURVEY.md §1.2).
@@ -22,6 +24,7 @@ from ray_data_mplsh.functions.hashing import (
     hash_str_array, make_perm_params, minhash_signatures, poly_str_hashes,
     rolling_shingle_hashes,
 )
+from ray_data_mplsh.stages.shuffle import task_local
 
 
 def sig_matrix(batch: pa.Table, col: str = "sig") -> np.ndarray:
@@ -69,13 +72,11 @@ class MinHasher:
         ], names=["doc_id", "sig", "n_shingles"])
 
 
-_TASK_CACHE: dict = {}
-
-
 def minhash_stage(reps, cfg: MPLSHConfig):
     """reps (doc_id, text, ...) -> sigs (doc_id, sig, n_shingles).
 
-    Plain TASKS with the MinHasher memoized per worker process —
+    Plain TASKS with the MinHasher memoized per worker process
+    (``shuffle.task_local``) —
     the (a, b) param setup is microseconds, so warm task workers beat a
     fresh actor pool by its spin-up cost (measured ~40% of stage wall on
     a 150k-doc corpus)."""
@@ -83,10 +84,7 @@ def minhash_stage(reps, cfg: MPLSHConfig):
     key = ("minhash", cfg.digest())
 
     def fn(batch: pa.Table) -> pa.Table:
-        mh = _TASK_CACHE.get(key)
-        if mh is None:
-            mh = _TASK_CACHE.setdefault(key, MinHasher(cfg))
-        return mh(batch)
+        return task_local(key, lambda: MinHasher(cfg))(batch)
 
     return cols.map_batches(fn, batch_format="pyarrow",
                             batch_size=cfg.minhash_batch_size)

@@ -1,5 +1,5 @@
 """Multimodal columns: image/audio/video as opaque ``binary`` columns with
-typed metadata, processed by actor-pool ``map_batches`` stages.
+typed metadata, processed by plain-task ``map_batches`` stages.
 
 Since round 4 the decode kernel is REAL for every format decodable
 without a codec dependency — BMP / PPM / PNG images (PNG via the stdlib
@@ -13,7 +13,7 @@ features). Only formats whose bitstreams genuinely require a codec
 library (H.264/MP4, VP9, HEIC...) fall back to the deterministic stub,
 and swapping in a codec-backed decoder (PIL / torchaudio / pyav) still
 changes no pipeline code: every Ray-side concern — media schema,
-per-actor one-time setup, small-batch sizing for large payloads, output
+per-process one-time setup, small-batch sizing for large payloads, output
 layout — is format-independent.
 
 Media table schema (T-media):
@@ -100,12 +100,13 @@ def decode_payload(payload: bytes, media_type: str) -> np.ndarray:
 
 
 class MediaDecoder:
-    """Actor-pool stage: decode + featurize media payloads.
+    """Decode + featurize media payloads.
 
-    Setup (codec init, model load) happens ONCE per actor here in
-    ``__init__``; per-batch work is only the decode loop. Batches must be
-    SMALL (payloads are large): pass ``batch_size=decode_batch_size`` and
-    ``num_cpus=1`` at the ``map_batches`` call site.
+    Setup (codec init, model load) happens ONCE per worker process here
+    in ``__init__`` (``decode_media`` memoizes one decoder per process);
+    per-batch work is only the decode loop. Batches must be SMALL
+    (payloads are large): pass ``batch_size=decode_batch_size`` at the
+    ``map_batches`` call site.
     """
 
     def __init__(self, feature_dim: int = FEATURE_DIM):
@@ -131,13 +132,20 @@ class MediaDecoder:
         })
 
 
-def decode_media(media, *, concurrency=(1, 4), batch_size: int = 32):
+def decode_media(media, *, batch_size: int = 32):
     """media Dataset (MEDIA_SCHEMA) -> decoded features. Small batch_size is
     deliberate: batch bytes = batch_size x payload size must fit the worker
-    heap (SURVEY.md 'memory-aware')."""
-    return media.map_batches(MediaDecoder, batch_format="pyarrow",
-                             batch_size=batch_size, concurrency=concurrency,
-                             num_cpus=1)
+    heap (SURVEY.md 'memory-aware'). Plain tasks with the decoder memoized
+    per worker process (``shuffle.task_local``): an actor pool holds its
+    CPUs between batches, and on a 1-CPU cluster its one actor starved
+    the upstream read task forever."""
+    from ray_data_mplsh.stages.shuffle import task_local
+
+    def decode(batch: pa.Table) -> pa.Table:
+        return task_local("media_decoder", MediaDecoder)(batch)
+
+    return media.map_batches(decode, batch_format="pyarrow",
+                             batch_size=batch_size)
 
 
 def frame_sampler(media, *, every_n: int = 10, max_frames: int = 8):

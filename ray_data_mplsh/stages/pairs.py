@@ -175,20 +175,20 @@ def _unique_pairs(part: pa.Table) -> pa.Table:
 
 
 def dedup_pairs(pairs, num_partitions: int, *, local_max_rows: int = 0):
-    """Global pair dedup (op 16) through ``local_or_exchange`` keyed on
-    the (a, b) pair. With ``local_max_rows`` > 0 the pair set is
-    materialized and, if its count fits, deduped in one driver-side
-    pass — a shuffle on a few-MB pair list costs more in fixed latency
-    than it buys (hybrid split, cfg.local_state_max_rows). The exchange
-    remains the route for web-scale pair volumes and for
-    ``local_max_rows=0``, which the producers with extra pair columns
-    (simhash, embedding cosine) pass: those columns ride the exchange,
-    first row per pair; the local plan keeps (a, b) only."""
-    n = 0
-    if local_max_rows > 0:      # size the set only when it may stay local
-        pairs = pairs.materialize()
-        n = pairs.count()
+    """Global pair dedup (op 16) keyed on the (a, b) pair. With
+    ``local_max_rows`` > 0 the pair set is materialized and goes through
+    ``local_or_exchange``: if its count fits, one driver-side pass — a
+    shuffle on a few-MB pair list costs more in fixed latency than it
+    buys (hybrid split, cfg.local_state_max_rows) — else the (a, b)
+    exchange. ``local_max_rows=0`` always exchanges with every column
+    riding along, first row per pair: the route of web-scale pair
+    volumes, of the forced-exchange tests and of the producers with
+    extra pair columns (simhash, embedding cosine)."""
+    if local_max_rows <= 0:
+        return partition_apply(pairs, ("a", "b"), _unique_pairs,
+                               num_partitions)
+    pairs = pairs.materialize()
     return local_or_exchange(pairs, ("a", "b"), _unique_pairs,
-                             num_partitions, n_rows=n,
+                             num_partitions, n_rows=pairs.count(),
                              local_max_rows=local_max_rows,
                              schema=PAIRS_SCHEMA)

@@ -59,17 +59,20 @@ def cached_get(ref):
         return val
 
 
-def pool_size(cap: int = 0) -> int:
-    """Actor-pool width for a stateful stage: cluster CPUs - 1 (leave one
-    for the driver/executor), optionally capped."""
-    n = 4
+_TASK_CACHE: dict = {}
+
+
+def task_local(key, make: Callable[[], object]):
+    """Per-worker-process memo of a plain-task stage's setup (a
+    MinHasher's permutation params, a scanner's pattern registry): built
+    by ``make()`` on first use in a process, reused by every later task
+    there — the task-shaped replacement of an actor pool's ``__init__``,
+    which holds no CPU between batches, so it cannot starve the upstream
+    read on a small cluster."""
     try:
-        import ray
-        if ray.is_initialized():
-            n = max(int(ray.cluster_resources().get("CPU", 4)) - 1, 2)
-    except Exception:
-        pass
-    return min(n, cap) if cap > 0 else n
+        return _TASK_CACHE[key]
+    except KeyError:
+        return _TASK_CACHE.setdefault(key, make())
 
 
 def _u64(t: pa.Table, col: str) -> np.ndarray:
@@ -120,7 +123,9 @@ def partition_apply(ds, key, fn: Callable[[pa.Table], pa.Table],
 
 def local_or_exchange(ds, key, fn: Callable[[pa.Table], pa.Table],
                       num_partitions: int, *, n_rows: int,
-                      local_max_rows: int, schema: pa.Schema):
+                      local_max_rows: int, schema: pa.Schema,
+                      prep: Callable[[pa.Table], pa.Table] | None = None,
+                      batch_size: int | None = None):
     """The engine's hybrid split: run a partition-local ``fn`` (one that
     groups by ``key`` inside its input, as every ``partition_apply`` fn
     does) ONCE on the driver over all of ``ds`` when its ``n_rows`` fit
@@ -130,12 +135,25 @@ def local_or_exchange(ds, key, fn: Callable[[pa.Table], pa.Table],
     lies wholly in one call either way. ``n_rows`` is a size the caller
     already holds (an exact count or a data-derived estimate), so the
     choice launches no job; ``local_max_rows=0`` always exchanges (the
-    forced-path switch). ``schema`` is ``fn``'s input schema: the local
-    gather casts every batch to it, so an empty or differently-typed
-    input still reaches ``fn`` well-formed."""
+    forced-path switch).
+
+    ``ds`` is projected to ``schema``'s columns here: on the driver by
+    the local gather (which casts every batch to ``schema``, so an empty
+    or differently-typed input still arrives well-formed, and a
+    materialized ``ds`` is read without a job), as a Project op on the
+    exchange. ``prep``, when given, maps those rows to ``fn``'s input
+    (e.g. anchor lists to (fp, doc_id) rows) — on the driver over the
+    gathered table, map-side (``batch_size`` rows per call, None = one
+    call per block) before the exchange — so rows derived from a
+    materialized Dataset cost no job of their own on the local branch."""
     if 0 < local_max_rows and n_rows <= local_max_rows:
-        return from_arrow_blocks(fn(gather_table(ds, schema)),
+        t = gather_table(ds, schema)
+        return from_arrow_blocks(fn(prep(t) if prep else t),
                                  target_rows=2048)
+    ds = ds.select_columns(schema.names)
+    if prep is not None:
+        ds = ds.map_batches(prep, batch_format="pyarrow",
+                            batch_size=batch_size)
     return partition_apply(ds, key, fn, num_partitions)
 
 

@@ -8,7 +8,7 @@ lowest-|margin| bits, ordered by the score-ordered perturbation sequencer
 give NON-degenerate scores, so this is the faithful continuous-space
 realization of [MPLSH §4.3]'s query-directed probing.
 
-The stage shapes mirror the MinHash mode: an actor-pool map_batches for
+The stage shapes mirror the MinHash mode: a plain-task map_batches for
 signatures + margins, a stateless band/probe emitter, the same
 coarse-partitioned pair shuffle.
 """
@@ -24,7 +24,9 @@ from ray_data_mplsh.functions.hashing import mix64, poly_str_hashes, \
     rolling_shingle_hashes
 from ray_data_mplsh.functions.perturb import perturbation_sets
 from ray_data_mplsh.stages.pairs import dedup_pairs
-from ray_data_mplsh.stages.shuffle import group_runs, partition_apply
+from ray_data_mplsh.stages.shuffle import (
+    group_runs, partition_apply, task_local,
+)
 
 N_BLOCKS = 4
 BLOCK_BITS = 16
@@ -58,7 +60,8 @@ def simhash_with_margins(shingles: np.ndarray, offsets: np.ndarray
 
 
 class SimHasher:
-    """Actor-pool stage: doc -> (sig, per-bit margins)."""
+    """Signing stage: doc -> (sig, per-bit margins). Run as plain tasks,
+    one instance memoized per worker process (``shuffle.task_local``)."""
 
     def __init__(self, cfg: MPLSHConfig):
         self.cfg = cfg
@@ -137,9 +140,13 @@ def simhash_pairs(docs, cfg: MPLSHConfig, num_partitions: int,
     Verification ships the 64-bit sigs through the same pair shuffle (they
     ride along as columns — no join needed at 8 bytes per side).
     """
+    key = ("simhash", cfg.digest())
+
+    def sign(batch: pa.Table) -> pa.Table:
+        return task_local(key, lambda: SimHasher(cfg))(batch)
+
     sigs = docs.select_columns(["doc_id", "text"]).map_batches(
-        SimHasher, fn_constructor_args=(cfg,), batch_format="pyarrow",
-        batch_size=cfg.minhash_batch_size, concurrency=(1, 4), num_cpus=1)
+        sign, batch_format="pyarrow", batch_size=cfg.minhash_batch_size)
 
     def attach_pairs(part: pa.Table) -> pa.Table:
         bh = part["band_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)

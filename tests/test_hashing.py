@@ -257,3 +257,38 @@ def test_poly_str_hashes_ascii_codepoint_parity_boundary():
     assert [int(x) for x in got] == [codepoint_fold(t) for t in ascii_toks]
     # the boundary: one multi-byte char breaks codepoint parity
     assert int(poly_str_hashes(["café"])[0]) != codepoint_fold("café")
+
+
+def test_winnow_anchors_match_per_doc_positions(monkeypatch):
+    """The S9 anchor kernel selects, per doc, exactly the (fp, position)
+    pairs of winnow_fingerprints(text) — batch-concatenated, across the
+    2 MB chunking, with docs under k bytes and under w grams."""
+    import pyarrow as pa
+
+    from ray_data_mplsh.functions import hashing as H
+
+    rng = np.random.Generator(np.random.PCG64(33))
+    alpha = list("abcdé日")
+    for trial, (k, w) in enumerate([(5, 4), (8, 3), (30, 21), (1, 1)] * 3):
+        texts = ["".join(rng.choice(alpha)
+                         for _ in range(int(rng.integers(0, 150))))
+                 for _ in range(int(rng.integers(1, 30)))]
+        if trial >= 8:
+            texts.append("a" * 200)       # one long tie run
+        offs, data = H.utf8_flat(pa.array(texts, pa.string()))
+        fp, pos, di = H.winnow_anchors_batch(offs, data, k, w)
+        assert np.all(np.diff(di) >= 0)
+        for i, t in enumerate(texts):
+            wf, wp = H.winnow_fingerprints(t, k, w)
+            o = np.argsort(pos[di == i], kind="stable")
+            assert np.array_equal(pos[di == i][o], wp), (trial, i)
+            assert np.array_equal(fp[di == i][o], wf), (trial, i)
+    # chunked == one flat pass
+    big = ["".join(rng.choice(alpha) for _ in range(3000))
+           for _ in range(40)]
+    offs, data = H.utf8_flat(pa.array(big, pa.string()))
+    flat = H.winnow_anchors_batch(offs, data, 30, 21)
+    monkeypatch.setattr(H, "_WINNOW_CHUNK_BYTES", 10_000)
+    chunked = H.winnow_anchors_batch(offs, data, 30, 21)
+    for x, y in zip(chunked, flat):
+        assert np.array_equal(x, y)

@@ -128,6 +128,55 @@ def test_incremental_substring_reuse_forced_shuffle(ray_session,
     assert inc_ft == ref_ft
 
 
+def test_incremental_adopted_smaller_id_is_canonical(ray_session,
+                                                     small_fixture,
+                                                     tmp_path):
+    """A new doc whose text equals a canonical base doc's, with a smaller
+    id than every base doc: the fold adopts it into the base rep's group
+    (the base signature is reused), so it undercuts its cluster's id —
+    it must still be the canonical pick, as in the from-scratch run."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ray_data_mplsh.functions.hashing import hash_str_array
+    from ray_data_mplsh.stages.docs import canonicalize_urls
+    from ray_data_mplsh.stages.shuffle import from_arrow_blocks
+
+    pages = pq.read_table(f"{small_fixture}/pages.parquet")
+    cut = (2 * pages.num_rows) // 3
+    base_pages, new_pages = pages.slice(0, cut), pages.slice(cut)
+    cfg = MPLSHConfig(ckpt_dir=str(tmp_path), run_id="base")
+    base = run_dedup(from_arrow_blocks(base_pages, target_rows=32), cfg,
+                     extract=True, skip_substring=True)
+    bout = base.dedup_out.to_pandas()
+    size = bout.groupby("cluster_id")["doc_id"].transform("size")
+    pick = int(bout[bout["is_canonical"] & (size > 1)]["doc_id"].iloc[0])
+    urls = [f"http://adopt.example/{i}" for i in range(20000)]
+    ids = hash_str_array(canonicalize_urls(pa.array(urls)))
+    low = int(np.argmin(ids))
+    assert int(ids[low]) < int(bout["doc_id"].min())
+    row = base_pages.filter(pa.array(
+        hash_str_array(canonicalize_urls(base_pages["url"])) ==
+        np.uint64(pick)))
+    assert row.num_rows == 1
+    row = row.set_column(row.schema.get_field_index("url"), "url",
+                         pa.array([urls[low]], row.schema.field("url").type))
+    new_pages = pa.concat_tables([new_pages, row])
+
+    inc = run_dedup_incremental(
+        from_arrow_blocks(new_pages, target_rows=32),
+        dataclasses.replace(cfg, run_id="inc"), base_run_id="base",
+        extract=True, skip_substring=True)
+    assert inc.counters["n_adopted_reps"] >= 1
+    ref = run_dedup(rd.from_arrow(pa.concat_tables([base_pages, new_pages])),
+                    MPLSHConfig(), extract=True, skip_substring=True)
+    inc_part, inc_canon = _partition_and_canon(inc)
+    ref_part, ref_canon = _partition_and_canon(ref)
+    assert int(ids[low]) in ref_canon
+    assert inc_canon == ref_canon
+    assert inc_part == ref_part
+
+
 def test_incremental_requires_valid_base(ray_session, small_fixture,
                                          tmp_path):
     _, s2, _ = _shards(small_fixture)

@@ -87,6 +87,24 @@ def test_exact_dups_collapsed_before_minhash(pipeline_result):
     assert n_reps < len(docs)  # fixture plants exact dups
 
 
+def test_canonical_is_cluster_id(pipeline_result):
+    """S8 reads the canonical pick off the labels: with S2 reps the
+    minimum id of their exact-text group and S7 labels the minimum rep of
+    their component, a cluster's smallest member is its cluster_id, so
+    is_canonical == (doc_id == cluster_id) before S9 trims anything —
+    checked against the per-cluster minimum on a fixture with exact
+    dups."""
+    from ray_data_mplsh.stages.output import assign_and_mark
+
+    m = assign_and_mark(pipeline_result.docs, pipeline_result.labels,
+                        MPLSHConfig()).to_pandas()
+    assert (m["doc_id"] != m["rep_id"]).any()       # exact dups present
+    smallest = m.groupby("cluster_id")["doc_id"].transform("min")
+    assert (m["is_canonical"] == (m["doc_id"] == smallest)).all()
+    assert (m["is_canonical"] == (m["doc_id"] == m["cluster_id"])).all()
+    assert m.groupby("cluster_id").size().max() > 1
+
+
 def test_salted_path_equivalent(ray_session, small_fixture, small_oracle):
     """salt_shards > 1 must not change the final cluster map (op 15:
     salting preserves connectivity via cross-shard star linking)."""

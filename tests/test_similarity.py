@@ -239,3 +239,57 @@ ray.shutdown()
     # brute force returns k rows per query; LSH at least each query's own
     # vector (an exact hit in its home bucket)
     assert int(rows[0]) >= 4 and int(rows[1]) == 20, proc.stdout
+
+
+@pytest.mark.parametrize("stage", ["pattern_counts", "simhash", "media"])
+def test_task_stages_on_one_cpu_cluster_complete(tmp_path, stage):
+    """q_pattern_counts, simhash_pairs and decode_media over a parquet
+    read on a 1-CPU Ray (in a subprocess, like the knn test above): their
+    per-process setup is memoized in plain tasks, so no actor holds the
+    only CPU while the upstream read waits for it."""
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import sys
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+import ray.data as rd
+
+root, d, stage = sys.argv[1], sys.argv[2], sys.argv[3]
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR",
+         runtime_env={"env_vars": {"PYTHONPATH": root}})
+rd.DataContext.get_current().enable_progress_bars = False
+from ray_data_mplsh.pipelines.queries import q_pattern_counts, q_simhash_pairs
+from ray_data_mplsh.stages.multimodal import decode_media, synth_media
+
+rng = np.random.Generator(np.random.PCG64(4))
+words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "theta"]
+texts = [" ".join(rng.choice(words, 40)) for _ in range(150)]
+texts += texts[:50]                       # exact dups: simhash pairs
+pq.write_table(pa.table({"doc_id": pa.array(np.arange(200), pa.int64()),
+                         "text": pa.array(texts)}),
+               d + "/documents.parquet")
+if stage == "pattern_counts":
+    n = q_pattern_counts(d).count()
+elif stage == "simhash":
+    n = q_simhash_pairs(d).count()
+else:
+    synth_media(30, seed=3).write_parquet(d + "/media")
+    n = decode_media(rd.read_parquet(d + "/media")).count()
+print("ROWS", n)
+ray.shutdown()
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, root, str(tmp_path), stage],
+        cwd=root, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": root})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    n = int(proc.stdout.split("ROWS")[-1].split()[0])
+    assert n == {"pattern_counts": 200, "simhash": 50, "media": 30}[stage]

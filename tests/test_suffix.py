@@ -94,3 +94,84 @@ def test_merge_intervals_grouped_matches_scalar(rows):
     assert rd_.tolist() == want_d
     assert rs.tolist() == want_s
     assert re_.tolist() == want_e
+
+
+def _anchored(texts, k, w):
+    """(utf-8 bytes, anchor fps, anchor positions) per text, from the
+    batch anchor kernel the pipeline runs."""
+    import pyarrow as pa
+
+    from ray_data_mplsh.functions.hashing import (
+        utf8_flat, winnow_anchors_batch,
+    )
+
+    offs, data = utf8_flat(pa.array(texts, pa.string()))
+    fp, pos, doc = winnow_anchors_batch(offs, data, k, w)
+    return [(np.frombuffer(t.encode(), np.uint8), fp[doc == i],
+             pos[doc == i]) for i, t in enumerate(texts)]
+
+
+def _anchor_spans(a, b, L, k, w):
+    from ray_data_mplsh.functions.suffix import anchor_match_intervals
+
+    (ra, fa, pa_), (rb, fb, pb) = _anchored([a, b], k, w)
+    return anchor_match_intervals(ra, rb, fa, pa_, fb, pb, L, k, w)
+
+
+@pytest.mark.parametrize("k,w", [(30, 21), (5, 4), (3, 2), (1, 1)])
+def test_anchor_spans_equal_cross_match_fuzz(k, w):
+    """The S9 anchor kernel == cross_match_intervals on mutated copies:
+    repeated k-grams and tie runs (tiny alphabets, "aaaa..."), multi-byte
+    UTF-8, texts shorter than substr_len or than k + w - 1 (in bytes or
+    only in characters), matches touching a doc's first or last byte, one
+    span shared at several offsets, and substr_len above k + w - 1."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    alphabets = [list("ab"), list("abcd"), list("héllo wörld日本"),
+                 list("abcdefghij ")]
+    nonempty = 0
+    for trial in range(400):
+        alpha = alphabets[trial % 4]
+        L = k + w - 1 + (trial % 3 == 1) * int(rng.integers(1, 4))
+
+        def rand(n):
+            return "".join(rng.choice(alpha) for _ in range(n))
+
+        def mutate(t):
+            t = list(t)
+            for _ in range(int(rng.integers(0, 6))):
+                i = int(rng.integers(0, len(t) + 1))
+                if t and rng.random() < 0.5:
+                    del t[min(i, len(t) - 1)]
+                else:
+                    t.insert(i, str(rng.choice(alpha)))
+            return "".join(t)
+
+        base = rand(int(rng.integers(0, 160)))
+        a, b = mutate(base), mutate(base)
+        if trial % 5 == 0:        # one span at several offsets of b
+            b = b + a[: len(a) // 2] + rand(3) + a[: len(a) // 2]
+        if trial % 7 == 0:        # match touches both docs' ends
+            a, b = base, base[len(base) // 3:]
+        if trial % 11 == 0:       # tie runs
+            a = "a" * int(rng.integers(0, 3 * L))
+            b = "a" * int(rng.integers(0, 3 * L))
+        if trial % 13 == 0:       # short: under L bytes, or chars only
+            a, b = base[:L - 1], "日" * (L // 2 + 1)
+        want = cross_match_intervals(a, b, L)
+        nonempty += bool(want)
+        assert _anchor_spans(a, b, L, k, w) == want, (trial, a, b, L)
+    assert nonempty > 100
+
+
+def test_anchor_spans_repeated_block_and_edges():
+    """A boilerplate block repeated in both docs (the anchor join falls
+    back to the window-hash kernel when it outgrows the docs) and a
+    shared span that is exactly one doc, first byte to last."""
+    block = "the quick brown fox jumps over the lazy dog, again. "
+    a = block * 8 + "tail of a"
+    b = "head of b " + block * 5
+    assert _anchor_spans(a, b, 50, 30, 21) == cross_match_intervals(a, b, 50)
+    s = "x" * 3 + block + "y" * 3
+    assert _anchor_spans(s, s, 50, 30, 21) == [(0, len(s.encode()))]
+    assert _anchor_spans(block, "日本" + block, 50, 30, 21) == \
+        cross_match_intervals(block, "日本" + block, 50)
