@@ -267,7 +267,6 @@ def bench_incremental() -> None:
                  "from_scratch": scratch_n},
         "split": frac,
         "n_new_sigs": inc_res.counters.get("n_new_sigs"),
-        "substr_incremental": inc_res.counters.get("substr_incremental"),
         "probe_s": [probe_pre, _window_probe()],
     }
     print(json.dumps(out))

@@ -21,7 +21,9 @@ from ray_data_mplsh.stages.cc import connected_components
 from ray_data_mplsh.stages.docs import docs_stage
 from ray_data_mplsh.stages.exact import exact_dedup_stage
 from ray_data_mplsh.stages.minhash import minhash_stage
-from ray_data_mplsh.stages.output import assign_and_mark, substring_stage
+from ray_data_mplsh.stages.output import (
+    assign_and_mark, final_text_unchanged, substring_stage,
+)
 from ray_data_mplsh.stages.pairs import pairs_stage
 from ray_data_mplsh.stages.shuffle import default_partitions
 from ray_data_mplsh.stages.verify import verify_stage
@@ -47,8 +49,6 @@ def run_dedup(pages, cfg: MPLSHConfig, *, extract: bool = True,
               url_col: str = "url", text_col: str = "text",
               lang_col: str = "lang", skip_substring: bool = False
               ) -> DedupResult:
-    import ray.data
-
     P = default_partitions(cfg.num_partitions)
     counters: dict = {"num_partitions": P}
     t0 = time.monotonic()
@@ -85,16 +85,15 @@ def run_dedup(pages, cfg: MPLSHConfig, *, extract: bool = True,
     verified = verified.materialize()
     counters["n_verified"] = verified.count()
 
-    # S7: union-find via star contraction
-    if counters["n_verified"] == 0:
-        labels = ray.data.from_arrow(pa.Table.from_arrays(
-            [pa.array([], pa.uint64()), pa.array([], pa.uint64())],
-            names=["doc_id", "cluster_id"]))
-    else:
-        labels = read_stage_or_compute(
-            cfg, "labels",
-            lambda: connected_components(
-                verified, cfg, P, n_edges=counters["n_verified"]), counters)
+    # S7: union-find via star contraction. An edgeless graph's typed empty
+    # labels are not checkpointed: Ray writes an empty Dataset as
+    # schemaless parquet.
+    def _cc():
+        return connected_components(verified, cfg, P,
+                                    n_edges=counters["n_verified"])
+
+    labels = read_stage_or_compute(cfg, "labels", _cc, counters) \
+        if counters["n_verified"] else _cc()
 
     # S8: cluster assignment + canonical flag (incl. exact-dup members):
     # a lazy map that launches no job — is_canonical is
@@ -107,11 +106,7 @@ def run_dedup(pages, cfg: MPLSHConfig, *, extract: bool = True,
     # dedup_out checkpoint is valid skips S9 entirely.
     def _s9():
         if skip_substring:
-            def add_final(batch: pa.Table) -> pa.Table:
-                ft = pc.if_else(batch["is_canonical"], batch["text"],
-                                pa.scalar(None, pa.string()))
-                return batch.append_column("final_text", ft)
-            return marked.map_batches(add_final, batch_format="pyarrow")
+            return final_text_unchanged(marked)
         return substring_stage(marked, cfg, P)
 
     out = read_stage_or_compute(cfg, "dedup_out", _s9, counters)

@@ -183,7 +183,9 @@ def connected_components(verified_pairs, cfg: MPLSHConfig,
     component map is computed in one vectorized driver kernel — a CC round
     on a few MB of edges costs more in shuffle latency than it gains.
     Above the threshold (the 10^12-doc path), iterative star contraction
-    over Dataset shuffles runs as designed ([CC-MR])."""
+    over Dataset shuffles runs as designed ([CC-MR]). An edgeless graph
+    fits any threshold, so it gets typed empty labels from the driver
+    kernel."""
     if not force_distributed:
         if n_edges < 0:
             n_edges = verified_pairs.count()

@@ -17,7 +17,7 @@ canonical docs and attaches their winnow anchors (every selected
 input. Candidates come from the per-doc unique fingerprints (guarantee:
 any shared span >= winnow_k + winnow_w - 1 = substr_len shares a
 fingerprint), paired per fp bucket by ``shuffle.local_or_exchange``
-(``_fp_pairs``, shared with the incremental pass) as S5 pairs its bands.
+(``_fp_pairs``) as S5 pairs its bands.
 Each pair's spans come from ``shuffle.pair_apply`` — the operator behind
 S6 — with the anchor kernel ``suffix.anchor_match_intervals`` (bytes
 compared next to aligned anchors only).
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ray_data_mplsh.config import MPLSHConfig
 from ray_data_mplsh.functions.hashing import (
@@ -158,9 +159,8 @@ def _span_kernel(cfg: MPLSHConfig):
     """pair_apply kernel over (x, y, anchored_x, anchored_y): byte
     intervals of the LARGER doc_id covered by >= substr_len spans of the
     other, from the two docs' anchors (``anchor_match_intervals``). The
-    (a, b) provenance rides along so a checkpointed span can later be
-    reused per pair (incremental substring); the merge pass only reads
-    doc_id/start/end."""
+    (a, b) provenance rides along into the ``substr_spans`` checkpoint;
+    the merge pass only reads doc_id/start/end."""
     L, k, w = cfg.substr_len, cfg.winnow_k, cfg.winnow_w
 
     def unpack(pay: pa.Array):
@@ -203,8 +203,7 @@ def _span_kernel(cfg: MPLSHConfig):
 def _pair_spans(pairs, side, n_canon: int, canon_bytes: int,
                 cfg: MPLSHConfig, num_partitions: int):
     """Candidate pairs + anchored canonical docs (doc_id, anchored) ->
-    per-pair span rows (a, b, doc_id, start, end): the span pass of both
-    the from-scratch and the incremental substring paths. The side is
+    per-pair span rows (a, b, doc_id, start, end). The side is
     broadcast when the canonical set is small by doc count AND by bytes
     (the payload is TEXT, so 100k short docs and 100k long docs are very
     different broadcasts), otherwise it rides pair_apply's pair-keyed
@@ -214,16 +213,6 @@ def _pair_spans(pairs, side, n_canon: int, canon_bytes: int,
     return pair_apply(pairs, side, "anchored", _span_kernel(cfg),
                       num_partitions, payload_type=ANCHORED,
                       broadcast=broadcast, batch_size=512)
-
-
-def _canon_stats(marked) -> tuple:
-    """(canonical (doc_id, text) Dataset, n_canon, canon_bytes) of a marked
-    corpus, read off the materialized canonical set's block metadata with
-    no further job: canon_bytes is its Arrow size (the UTF-8 text plus
-    12 B/doc of id and offset). The incremental fold's gates."""
-    canon = marked.filter(expr="is_canonical == True") \
-        .select_columns(["doc_id", "text"]).materialize()
-    return canon, canon.count(), canon.size_bytes()
 
 
 def _fp_rows(n_canon: int, text_bytes: int, cfg: MPLSHConfig) -> int:
@@ -237,10 +226,10 @@ def _fp_rows(n_canon: int, text_bytes: int, cfg: MPLSHConfig) -> int:
 def _fp_pairs(fps, n_fps: int, cfg: MPLSHConfig, num_partitions: int, *,
               anchored: bool = False, bundle: int | None = None):
     """Winnow (fp, doc_id) rows -> unique candidate pairs: the bucket
-    pairing of both the from-scratch and the incremental substring pass.
-    With ``anchored``, ``fps`` holds anchored docs (doc_id, anchored)
-    instead, whose per-doc unique fps ``_unique_fps`` derives inside the
-    operator (``bundle`` docs per call on the exchange). ``local_or_exchange`` groups the fp buckets — one
+    pairing of the substring pass. With ``anchored``, ``fps`` holds
+    anchored docs (doc_id, anchored) instead, whose per-doc unique fps
+    ``_unique_fps`` derives inside the operator (``bundle`` docs per call
+    on the exchange). ``local_or_exchange`` groups the fp buckets — one
     driver numpy pass for a driver-sized set, else the fp-keyed exchange;
     bit-equal, because each fp bucket is wholly in one call either way
     and _pairs_of_runs is order-independent (runs re-sorted, star
@@ -282,13 +271,26 @@ def substring_stage(dedup_out, cfg: MPLSHConfig, num_partitions: int):
     ``final_text`` (null for non-canonical docs) and updated is_canonical.
 
     Two passes over the corpus: one map keeps the canonical docs with
-    their anchors (materialized: the pairing input and the span payload),
-    and the final rewrite. Every gate reads its size off that output's
-    metadata: per text byte it holds 1 B of text plus 2/(w + 1) anchors
-    of 16 B (uint64 fp, int64 position), so its Arrow size S holds about
-    S (w + 1) / (w + 33) text bytes. The pair payload attaches by
-    broadcast or pair-keyed exchange, byte-identical (pinned by
-    tests/test_pipeline_e2e.py)."""
+    their anchors (``_substring_spans``), and the final rewrite. The pair
+    payload attaches by broadcast or pair-keyed exchange, byte-identical
+    (pinned by tests/test_pipeline_e2e.py)."""
+    _, spans = _substring_spans(dedup_out, cfg, num_partitions)
+    return _apply_spans(dedup_out, spans, cfg)
+
+
+def _substring_spans(dedup_out, cfg: MPLSHConfig, num_partitions: int):
+    """The span half of S9 over a marked corpus: (candidate pairs, span
+    rows (a, b, doc_id, start, end)). The incremental fold reads the
+    pairs too, to find the docs whose span set changed.
+
+    The canonical docs with their anchors are materialized once: the
+    pairing input and the span payload. Every gate reads its size off
+    that output's metadata: per text byte it holds 1 B of text plus
+    2/(w + 1) anchors of 16 B (uint64 fp, int64 position), so its Arrow
+    size S holds about S (w + 1) / (w + 33) text bytes. With
+    ``cfg.ckpt_dir`` set, the fingerprints, pairs and spans are
+    checkpointed as ``substr_fps`` / ``substr_pairs`` / ``substr_spans``
+    (the pairs are what a later delta fold diffs against)."""
     canon = dedup_out.filter(expr="is_canonical == True").map_batches(
         _anchor_emitter(cfg), batch_format="pyarrow").materialize()
     n_canon, canon_bytes = canon.count(), canon.size_bytes()
@@ -297,9 +299,6 @@ def substring_stage(dedup_out, cfg: MPLSHConfig, num_partitions: int):
     n_fps = _fp_rows(n_canon, text_bytes, cfg)
     pe = sized_partitions(n_fps, num_partitions)
     bundle = _bundle_batch_size(n_canon, text_bytes)
-    # with checkpointing on, persist the substring internals too: the
-    # fingerprints and per-pair spans are pure functions of (text, cfg),
-    # so an incremental run can reuse them verbatim (incremental.py)
     if cfg.ckpt_dir:
         from ray_data_mplsh.state.checkpoint import read_stage_or_compute
         fps = read_stage_or_compute(
@@ -309,8 +308,10 @@ def substring_stage(dedup_out, cfg: MPLSHConfig, num_partitions: int):
         pairs = read_stage_or_compute(cfg, "substr_pairs",
                                       lambda: pairs_lazy)
     else:
+        # materialized (a driver-sized pair set already is), so a caller
+        # that also reads the pairs does not run the pairing again
         pairs = _fp_pairs(canon, n_fps, cfg, pe, anchored=True,
-                          bundle=bundle)
+                          bundle=bundle).materialize()
 
     spans = _pair_spans(pairs, canon, n_canon, canon_bytes, cfg,
                         num_partitions)
@@ -318,14 +319,29 @@ def substring_stage(dedup_out, cfg: MPLSHConfig, num_partitions: int):
         _spans_lazy = spans
         spans = read_stage_or_compute(cfg, "substr_spans",
                                       lambda: _spans_lazy)
+    return pairs, spans
 
-    return _apply_spans(dedup_out, spans, cfg)
+
+def final_text_unchanged(dedup_out):
+    """dedup_out without the substring pass: ``final_text`` is the text of
+    a canonical doc and null for every other. Both inputs are combined
+    into single unsliced arrays first: pyarrow 16's ``if_else`` misreads
+    a sliced string array (offset > 0) and returns corrupt offsets, and
+    it slices the text itself wherever the two columns' chunks do not
+    line up (as in the exchange S2 plan's map_groups blocks)."""
+    def add_final(batch: pa.Table) -> pa.Table:
+        ft = pc.if_else(batch["is_canonical"].combine_chunks(),
+                        batch["text"].combine_chunks(),
+                        pa.scalar(None, pa.string()))
+        return batch.append_column("final_text", ft)
+
+    return dedup_out.map_batches(add_final, batch_format="pyarrow")
 
 
 def _apply_spans(dedup_out, spans, cfg: MPLSHConfig):
     """Merge the span intervals per doc and rewrite ``final_text`` in one
-    map over the marked corpus — the shared tail of the from-scratch and
-    incremental substring paths."""
+    map over the marked corpus (or the subset of it a delta fold
+    emits)."""
     import ray
 
     # merge intervals per doc, collect to the driver (docs carrying dup

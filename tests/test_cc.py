@@ -66,3 +66,21 @@ def test_star_contraction_chain(ray_session):
     got = _run_cc(edges, ray_session)
     assert set(got.values()) == {1}
     assert len(got) == 64
+
+
+@pytest.mark.parametrize("local_state_max_rows", [6_000_000, 0])
+def test_no_edges_gives_typed_empty_labels(ray_session,
+                                           local_state_max_rows):
+    """An edgeless graph yields zero typed (uint64) labels whatever the
+    local/exchange gate, so callers need no empty-graph branch."""
+    import ray.data as rd
+
+    verified = rd.from_arrow(pa.table({
+        "a": pa.array([], pa.uint64()), "b": pa.array([], pa.uint64()),
+        "jaccard": pa.array([], pa.float64())}))
+    cfg = MPLSHConfig(local_state_max_rows=local_state_max_rows)
+    labels = connected_components(verified, cfg, num_partitions=4,
+                                  n_edges=0)
+    assert labels.count() == 0
+    assert labels.schema().base_schema == pa.schema(
+        [("doc_id", pa.uint64()), ("cluster_id", pa.uint64())])

@@ -60,13 +60,16 @@ def test_incremental_equals_joint(ray_session, small_fixture, tmp_path):
 def test_incremental_with_substring_pass(ray_session, small_fixture,
                                          tmp_path):
     """With the substring pass enabled, the incremental run's final_text
-    per canonical doc matches the from-scratch joint run byte for byte."""
+    per canonical doc matches the from-scratch joint run byte for byte,
+    and a fold without save_as writes no checkpoint of its own."""
     s1, s2, joint = _shards(small_fixture)
     cfg = MPLSHConfig(ckpt_dir=str(tmp_path), run_id="base")
     run_dedup(s1, cfg, extract=True, skip_substring=True)
     inc_cfg = dataclasses.replace(cfg, run_id="incr")
     inc = run_dedup_incremental(s2, inc_cfg, base_run_id="base",
                                 extract=True, skip_substring=False)
+    inc.dedup_out.materialize()
+    assert not (tmp_path / "incr").exists()
     ref = run_dedup(joint, MPLSHConfig(), extract=True,
                     skip_substring=False)
     inc_out = inc.dedup_out.to_pandas()
@@ -105,9 +108,9 @@ def test_incremental_substring_forced_shuffle(ray_session, small_fixture,
 
 def test_incremental_substring_reuse_forced_shuffle(ray_session,
                                                     small_fixture, tmp_path):
-    """Reuse path (base kept its substring checkpoints) with the BYTE gate
-    forcing the exchange text attach for the fresh pairs: final_text per
-    canonical matches the from-scratch joint run byte for byte."""
+    """A base that kept its substring checkpoints, with the BYTE gate
+    forcing the exchange text attach: final_text per canonical matches
+    the from-scratch joint run byte for byte."""
     s1, s2, joint = _shards(small_fixture)
     cfg = MPLSHConfig(ckpt_dir=str(tmp_path), run_id="base",
                       substr_broadcast_max_bytes=0)
@@ -115,7 +118,6 @@ def test_incremental_substring_reuse_forced_shuffle(ray_session,
     inc_cfg = dataclasses.replace(cfg, run_id="incr")
     inc = run_dedup_incremental(s2, inc_cfg, base_run_id="base",
                                 extract=True, skip_substring=False)
-    assert inc.counters["substr_incremental"]
     assert inc.counters["n_substr_pairs_fresh"] > 0
     ref = run_dedup(joint, MPLSHConfig(substr_broadcast_max_bytes=0),
                     extract=True, skip_substring=False)
@@ -177,6 +179,46 @@ def test_incremental_adopted_smaller_id_is_canonical(ray_session,
     assert inc_part == ref_part
 
 
+def test_incremental_exchange_adoption(ray_session, small_fixture,
+                                       tmp_path):
+    """broadcast_max_docs=0 forces the text_hash-keyed adoption exchange
+    (and the separate below-rep scan): the shard's exact copies of base
+    docs are still adopted, and the partition and canonical picks equal a
+    from-scratch run's."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ray_data_mplsh.stages.shuffle import from_arrow_blocks
+
+    pages = pq.read_table(f"{small_fixture}/pages.parquet")
+    cut = (2 * pages.num_rows) // 3
+    base_pages = pages.slice(0, cut)
+    # re-crawled copies of base pages under new urls: exact-text twins
+    twins = base_pages.slice(0, 8)
+    twins = twins.set_column(
+        twins.schema.get_field_index("url"), "url",
+        pa.array([f"http://recrawl.example/{i}" for i in range(8)],
+                 twins.schema.field("url").type))
+    new_pages = pa.concat_tables([pages.slice(cut), twins])
+    cfg = MPLSHConfig(ckpt_dir=str(tmp_path), run_id="base",
+                      broadcast_max_docs=0)
+    run_dedup(from_arrow_blocks(base_pages, target_rows=32), cfg,
+              extract=True, skip_substring=True)
+    inc = run_dedup_incremental(
+        from_arrow_blocks(new_pages, target_rows=32),
+        dataclasses.replace(cfg, run_id="inc"), base_run_id="base",
+        extract=True, skip_substring=True)
+    assert inc.counters["adoption_path"] == "exchange"
+    assert inc.counters["n_adopted_reps"] >= 1
+    ref = run_dedup(rd.from_arrow(pa.concat_tables([base_pages, new_pages])),
+                    MPLSHConfig(broadcast_max_docs=0), extract=True,
+                    skip_substring=True)
+    inc_part, inc_canon = _partition_and_canon(inc)
+    ref_part, ref_canon = _partition_and_canon(ref)
+    assert inc_part == ref_part
+    assert inc_canon == ref_canon
+
+
 def test_incremental_requires_valid_base(ray_session, small_fixture,
                                          tmp_path):
     _, s2, _ = _shards(small_fixture)
@@ -190,10 +232,9 @@ def test_incremental_requires_valid_base(ray_session, small_fixture,
 
 def test_incremental_substring_reuse(ray_session, small_fixture, tmp_path):
     """When the base run kept its substring checkpoints (full run, not
-    skip_substring), the incremental run takes the REUSE path — base
-    fingerprints filtered by the revoked set, base pair-spans semi-joined
-    on the re-derived joint pair set — and still matches the from-scratch
-    joint run byte for byte, including non-canonical flags."""
+    skip_substring), the fold still runs S9 over the joint corpus — every
+    pair computed fresh, none reused — and matches the from-scratch joint
+    run byte for byte, including non-canonical flags."""
     s1, s2, joint = _shards(small_fixture)
     cfg = MPLSHConfig(ckpt_dir=str(tmp_path), run_id="base")
     run_dedup(s1, cfg, extract=True, skip_substring=False)
@@ -201,12 +242,7 @@ def test_incremental_substring_reuse(ray_session, small_fixture, tmp_path):
     inc_cfg = dataclasses.replace(cfg, run_id="incr")
     inc = run_dedup_incremental(s2, inc_cfg, base_run_id="base",
                                 extract=True, skip_substring=False)
-    assert inc.counters["substr_incremental"], \
-        "base substring checkpoints present but reuse path not taken"
-    assert "n_substr_revoked" in inc.counters
-    # the fixture's cross-shard dups must actually exercise BOTH pair
-    # branches: base spans reused verbatim and fresh pairs extracted
-    assert inc.counters["n_substr_pairs_reused"] > 0
+    assert inc.counters["n_substr_pairs_reused"] == 0
     assert inc.counters["n_substr_pairs_fresh"] > 0
     ref = run_dedup(joint, MPLSHConfig(), extract=True,
                     skip_substring=False)
@@ -306,13 +342,16 @@ def test_incremental_delta_output_skip_substring(ray_session,
 
 def test_incremental_delta_rejects_bad_output(ray_session, small_fixture,
                                               tmp_path):
+    """A bad ``output`` is refused before any state is written, so a retry
+    with the same save_as id is not refused as "already exists"."""
     s1, s2, _ = _shards(small_fixture)
     cfg = MPLSHConfig(ckpt_dir=str(tmp_path), run_id="base")
     run_dedup(s1, cfg, extract=True, skip_substring=True)
     with pytest.raises(ValueError, match="output"):
         run_dedup_incremental(s2, dataclasses.replace(cfg, run_id="i"),
                               base_run_id="base", extract=True,
-                              output="everything")
+                              output="everything", save_as="fold1")
+    assert not (tmp_path / "fold1").exists()
 
 
 def test_incremental_empty_new_shard(ray_session, small_fixture, tmp_path):
@@ -349,7 +388,7 @@ def test_incremental_empty_base(ray_session, small_fixture, tmp_path):
     """Folding onto an EMPTY base (the first-crawl-ever case) must equal
     a from-scratch run over the shard alone. An empty Dataset checkpoints
     as schemaless parquet, so this pins the typed-empty fallback in
-    _base_stage_ds and the substring-reuse zero-row bailout."""
+    _base_stage_ds."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -397,9 +436,9 @@ def test_incremental_chained_folds(ray_session, small_fixture, tmp_path):
     'fold1', day-3 fold onto 'fold1' — the chained result must match a
     from-scratch run over all three shards byte for byte (final_text per
     doc, canonical picks, cluster partition), the saved state must look
-    exactly like a from-scratch checkpoint to the next fold (substring
-    REUSE path taken at day 3), and the archive is never re-signed
-    (n_new_sigs bounded by each day's shard)."""
+    exactly like a from-scratch checkpoint to the next fold, and the
+    archive is never re-signed (n_new_sigs bounded by each day's
+    shard)."""
     s1, s2, s3, joint = _shards3(small_fixture)
     cfg = MPLSHConfig(ckpt_dir=str(tmp_path), run_id="base")
     run_dedup(s1, cfg, extract=True, skip_substring=False)
@@ -408,14 +447,11 @@ def test_incremental_chained_folds(ray_session, small_fixture, tmp_path):
         s2, dataclasses.replace(cfg, run_id="i1"), base_run_id="base",
         extract=True, skip_substring=False, save_as="fold1")
     assert f1.counters["saved_as"] == "fold1"
-    assert f1.counters["substr_incremental"]
 
     f2 = run_dedup_incremental(
         s3, dataclasses.replace(cfg, run_id="i2"), base_run_id="fold1",
         extract=True, skip_substring=False)
-    # day 3 folds onto the SAVED fold state through the substring reuse
-    # path — fold1's substr_fps/pairs/spans were accepted as a base
-    assert f2.counters["substr_incremental"]
+    # day 3 folds onto the SAVED fold state
     assert f2.counters["base_resumed"]
 
     ref = run_dedup(joint, MPLSHConfig(), extract=True,
@@ -481,8 +517,8 @@ def test_incremental_chained_delta_overlay(ray_session, small_fixture,
     f2 = run_dedup_incremental(
         s3, dataclasses.replace(cfg, run_id="i2"), base_run_id="fold1",
         extract=True, output="delta")
+    # fold1's saved substr_pairs were accepted as the delta's base pairs
     assert f2.counters["output_mode"] == "delta"
-    assert f2.counters["substr_incremental"]
 
     ref = run_dedup(joint, MPLSHConfig(), extract=True,
                     skip_substring=False)
