@@ -28,7 +28,7 @@ class MPLSHConfig:
     num_perm: int = 128           # K minhashes per doc
     seed: int = 0xC0FFEE          # PCG64 seed for the permutation params
     word_hash: str = "sip"        # token hash family: "sip" (pandas
-                                  # SipHash-1-3, default) or "poly"
+                                  # SipHash-2-4, default) or "poly"
                                   # (poly_str_hashes — SQL-replayable, used
                                   # by oracle-pinned queries)
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ray_data_mplsh.functions.extract import tokenize_batch
 from ray_data_mplsh.functions.hashing import hash_bytes_u64
 
 PAGES_SCHEMA = pa.schema([

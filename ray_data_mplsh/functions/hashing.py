@@ -6,9 +6,10 @@ Design notes
   semantics).  Determinism is absolute: no wall clock, no global RNG, no
   PYTHONHASHSEED dependence — required for order-free doc ids and
   byte-stable resume (SURVEY.md op 9, §2.9).
-* String arrays are hashed via ``pandas.util.hash_array`` (SipHash-1-3 with
-  the fixed key ``b"0123456789123456"``) — a C-speed loop over the array,
-  no Python per-row overhead.
+* String arrays are hashed via ``pandas.util.hash_array``: SipHash-2-4 of
+  the utf-8 bytes with the fixed key ``b"0123456789123456"``, then the
+  SplitMix64 finalizer ``mix64`` — a C-speed loop over the array, no
+  Python per-row overhead.
 * ``mix64`` is the SplitMix64 finalizer (Steele et al., public domain): a
   bijection on uint64, used to whiten combined hashes and to build the
   MinHash permutation family ``perm_j(x) = mix64(a_j * x + b_j mod 2^64)``
@@ -44,7 +45,8 @@ def mix64(x: np.ndarray | int) -> np.ndarray | np.uint64:
 
 def hash_str_array(values) -> np.ndarray:
     """uint64 hash per string. Accepts a pyarrow (Chunked)Array, pandas
-    Series, numpy object array, or list of str. Nulls hash like ''."""
+    Series, numpy object array, or list of str. A null hashes like the
+    string ``"None"`` (pandas stringifies it), not like ``''``."""
     import pyarrow as pa
 
     if isinstance(values, (pa.Array, pa.ChunkedArray)):

@@ -16,7 +16,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ray_data_mplsh.config import MPLSHConfig
-from ray_data_mplsh.stages.bands import band_stage
 from ray_data_mplsh.stages.cc import connected_components
 from ray_data_mplsh.stages.docs import docs_stage
 from ray_data_mplsh.stages.exact import exact_dedup_stage
@@ -24,7 +23,7 @@ from ray_data_mplsh.stages.minhash import minhash_stage
 from ray_data_mplsh.stages.output import (
     assign_and_mark, final_text_unchanged, substring_stage,
 )
-from ray_data_mplsh.stages.pairs import pairs_stage
+from ray_data_mplsh.stages.pairs import candidate_pairs
 from ray_data_mplsh.stages.shuffle import default_partitions
 from ray_data_mplsh.stages.verify import verify_stage
 from ray_data_mplsh.state.checkpoint import read_stage_or_compute
@@ -72,11 +71,11 @@ def run_dedup(pages, cfg: MPLSHConfig, *, extract: bool = True,
     n_docs = sigs.count()
     counters["n_docs_sig"] = n_docs
 
-    # S4-S5: band/probe keys -> candidate pairs (never materialized between)
+    # S4-S5: band/probe keys -> candidate pairs (never materialized
+    # between; one driver pass when the key stream fits)
     pairs = read_stage_or_compute(
         cfg, "pairs",
-        lambda: pairs_stage(band_stage(sigs, cfg, n_docs=n_docs), cfg, P),
-        counters)
+        lambda: candidate_pairs(sigs, cfg, P, n_docs, counters), counters)
 
     # S6: Jaccard verification
     verified = read_stage_or_compute(

@@ -45,7 +45,6 @@ import pyarrow as pa
 
 from ray_data_mplsh.config import MPLSHConfig
 from ray_data_mplsh.pipelines.dedup import DedupResult, _only_reps
-from ray_data_mplsh.stages.bands import band_stage
 from ray_data_mplsh.stages.cc import connected_components
 from ray_data_mplsh.stages.docs import docs_stage
 from ray_data_mplsh.stages.exact import exact_dedup_stage
@@ -53,7 +52,7 @@ from ray_data_mplsh.stages.minhash import minhash_stage
 from ray_data_mplsh.stages.output import (
     _apply_spans, _substring_spans, assign_and_mark, final_text_unchanged,
 )
-from ray_data_mplsh.stages.pairs import PAIRS_SCHEMA, pairs_stage
+from ray_data_mplsh.stages.pairs import PAIRS_SCHEMA, candidate_pairs
 from ray_data_mplsh.stages.shuffle import (
     cached_get, default_partitions, gather_capped, gather_columns, gather_kv,
     group_runs, isin_sorted, local_or_exchange, lookup_u64, partition_apply,
@@ -429,7 +428,7 @@ def run_dedup_incremental(new_pages, cfg: MPLSHConfig, *, base_run_id: str,
         return batch.filter(pa.array(isin_sorted(nid, a) |
                                      isin_sorted(nid, b)))
 
-    pairs = pairs_stage(band_stage(sigs, cfg), cfg, P) \
+    pairs = candidate_pairs(sigs, cfg, P, n_docs, counters) \
         .map_batches(keep_new, batch_format="pyarrow")
 
     # S6 on the new-touching pairs only

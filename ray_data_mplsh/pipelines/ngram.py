@@ -21,7 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ray_data_mplsh.config import MPLSHConfig
-from ray_data_mplsh.functions.extract import tokenize_batch
+from ray_data_mplsh.functions.extract import word_hashes
 from ray_data_mplsh.functions.hashing import (
     hash_str_array, rolling_shingle_hashes,
 )
@@ -32,8 +32,7 @@ PAIR_JACCARD_SCHEMA = pa.schema([
 
 def shingle_sets_batch(batch: pa.Table, k: int) -> list[np.ndarray]:
     """Sorted unique shingle-hash array per doc in the batch."""
-    words, offs = tokenize_batch(batch["text"])
-    wh = hash_str_array(words) if len(words) else np.empty(0, np.uint64)
+    wh, offs = word_hashes(batch["text"], hash_str_array)
     sh, soffs = rolling_shingle_hashes(wh, offs, k)
     return [np.unique(sh[soffs[i]:soffs[i + 1]])
             for i in range(len(soffs) - 1)]

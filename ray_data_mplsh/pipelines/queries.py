@@ -1312,9 +1312,9 @@ _LSHV_CACHE: dict = {}
 
 def q_lsh_verified_pairs(sf_dir: str):
     """The production S3-S6 LSH chain end-to-end (ops 12-18), driver-
-    hash-checked: ``minhash_stage`` -> ``band_stage`` (exact + multi-
-    probe keys) -> ``pairs_stage`` (equal-key buckets, all-pairs at or
-    under bucket_cap, star pairing above it, global pair dedup) ->
+    hash-checked: ``minhash_stage`` -> ``candidate_pairs`` (exact +
+    multi-probe band keys, equal-key buckets, all-pairs at or under
+    bucket_cap, star pairing above it, global pair dedup) ->
     ``verify_stage`` (signature-slot agreement est >= verify_theta),
     under the SQL-replayable config q_minhash_sigs/q_band_keys pin
     (word_hash="poly", K=16, b=4, r=4, probes=4). The DuckDB oracle
@@ -1332,9 +1332,8 @@ def q_lsh_verified_pairs(sf_dir: str):
     verify."""
     if sf_dir in _LSHV_CACHE:
         return _LSHV_CACHE[sf_dir]
-    from ray_data_mplsh.stages.bands import band_stage
     from ray_data_mplsh.stages.minhash import minhash_stage
-    from ray_data_mplsh.stages.pairs import pairs_stage
+    from ray_data_mplsh.stages.pairs import candidate_pairs
     from ray_data_mplsh.stages.shuffle import default_partitions
     from ray_data_mplsh.stages.verify import verify_stage
 
@@ -1344,7 +1343,7 @@ def q_lsh_verified_pairs(sf_dir: str):
     P = default_partitions(cfg.num_partitions)
     sigs = minhash_stage(docs, cfg).materialize()
     n_docs = sigs.count()
-    pairs = pairs_stage(band_stage(sigs, cfg), cfg, P)
+    pairs = candidate_pairs(sigs, cfg, P, n_docs)
     ver = verify_stage(pairs, sigs, cfg, P, n_docs)
 
     def fmt(t: pa.Table) -> pa.Table:
@@ -1434,9 +1433,8 @@ def q_ngram_jaccard(sf_dir: str):
     list_intersect over string shingles (hashed-set Jaccard == string-set
     Jaccard absent 64-bit collisions, the engine's standing assumption)."""
     from ray_data_mplsh.pipelines.ngram import exact_jaccard_pairs
-    from ray_data_mplsh.stages.bands import band_stage
     from ray_data_mplsh.stages.minhash import minhash_stage
-    from ray_data_mplsh.stages.pairs import pairs_stage
+    from ray_data_mplsh.stages.pairs import candidate_pairs
 
     cfg = MPLSHConfig()
     P = default_partitions()
@@ -1460,7 +1458,7 @@ def q_ngram_jaccard(sf_dir: str):
     reps = partition_apply(docs.map_batches(keyed, batch_format="pyarrow"),
                            "_th", rep_part, P).materialize()
     sigs = minhash_stage(reps, cfg).materialize()
-    pairs = pairs_stage(band_stage(sigs, cfg), cfg, P)
+    pairs = candidate_pairs(sigs, cfg, P, sigs.count())
     res = exact_jaccard_pairs(pairs, reps, cfg, min_jaccard=_NGJ_MIN_J)
     return res.map_batches(
         lambda t: pa.table({"a": pc.cast(t["a"], pa.int64()),
@@ -7009,10 +7007,9 @@ def q_dedup_tier_report(sf_dir: str):
     import ray
 
     from ray_data_mplsh.functions.hashing import hash_str_array
-    from ray_data_mplsh.stages.bands import band_stage
     from ray_data_mplsh.stages.cc import connected_components
     from ray_data_mplsh.stages.minhash import minhash_stage
-    from ray_data_mplsh.stages.pairs import pairs_stage
+    from ray_data_mplsh.stages.pairs import candidate_pairs
     from ray_data_mplsh.stages.shuffle import (default_partitions,
                                                partition_apply)
     from ray_data_mplsh.stages.verify import verify_stage
@@ -7023,7 +7020,7 @@ def q_dedup_tier_report(sf_dir: str):
     P = default_partitions(cfg.num_partitions)
     sigs = minhash_stage(docs, cfg).materialize()
     n_docs = sigs.count()
-    ver = verify_stage(pairs_stage(band_stage(sigs, cfg), cfg, P), sigs,
+    ver = verify_stage(candidate_pairs(sigs, cfg, P, n_docs), sigs,
                        cfg, P, n_docs)
     labels = connected_components(ver, cfg, P)
     lt = gather_capped(labels, 4_000_000, pa.schema(

@@ -15,7 +15,9 @@ continuous-space score-ordered generator lives in functions/perturb.py and
 drives the SimHash mode, where per-bit margins give non-trivial scores.
 
 1 row in -> b*(1+T) rows out. Stateless, vectorized; the expansion streams
-straight into the S5 shuffle and is never materialized (SURVEY.md §4.3).
+straight into the S5 shuffle and is never materialized (SURVEY.md §4.3),
+or, when the key stream fits ``local_state_max_rows``, is built and
+bucketed in one driver pass (``pairs.candidate_pairs``).
 """
 
 from __future__ import annotations
@@ -68,11 +70,11 @@ def make_band_emitter(cfg: MPLSHConfig):
     return emit
 
 
-def band_stage(sigs, cfg: MPLSHConfig, n_docs: int | None = None):
-    """Emit (band_hash, doc_id) keys. When the caller knows ``n_docs``
+def emit_batch_size(n_docs: int | None) -> int | None:
+    """The band emitter's ``batch_size``. When the caller knows ``n_docs``
     (run_dedup does — it counts the materialized signatures) and the
     corpus is large (>= ``output.BUNDLE_MIN_DOCS``; small corpora are
-    fixed-overhead-bound and pipeline better unbundled), the
+    fixed-overhead-bound and pipeline better unbundled, None), the
     emitter's input is bundled into ~64 data-sized blocks: the key
     stream feeds a sort-exchange that pays one shuffle object per
     (block x partition), and upstream stages leave signatures in
@@ -85,7 +87,11 @@ def band_stage(sigs, cfg: MPLSHConfig, n_docs: int | None = None):
     from ray_data_mplsh.stages.output import BUNDLE_MIN_DOCS
 
     if n_docs and n_docs >= BUNDLE_MIN_DOCS:
-        bs = int(min(8192, max(512, n_docs // 64)))
-        return sigs.map_batches(make_band_emitter(cfg),
-                                batch_format="pyarrow", batch_size=bs)
-    return sigs.map_batches(make_band_emitter(cfg), batch_format="pyarrow")
+        return int(min(8192, max(512, n_docs // 64)))
+    return None
+
+
+def band_stage(sigs, cfg: MPLSHConfig, n_docs: int | None = None):
+    """Emit (doc_id, band_hash) keys, bundled by ``emit_batch_size``."""
+    return sigs.map_batches(make_band_emitter(cfg), batch_format="pyarrow",
+                            batch_size=emit_batch_size(n_docs))

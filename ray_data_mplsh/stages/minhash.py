@@ -4,10 +4,12 @@
 in ``__init__`` from the seeded PCG64 (never shipped per batch), once per
 worker process — ``minhash_stage`` runs plain tasks that memoize one
 MinHasher per process; ``__call__`` is a fully vectorized NumPy kernel —
-tokenize the whole batch with pandas C string ops, hash words in one
-SipHash pass, Horner-roll k-shingles, broadcast-minimize over the K
-permutations (BASELINE.json:6 "vectorized NumPy kernel", on tasks rather
-than the actor pools it names).
+``extract.word_hashes`` tokenizes the batch from its Arrow buffers (a
+byte table for pure-ASCII docs, pandas string ops for the rest) and
+hashes each distinct word once, then the kernel Horner-rolls k-shingles
+and broadcast-minimizes over the K permutations (BASELINE.json:6
+"vectorized NumPy kernel", on tasks rather than the actor pools it
+names).
 
 Signatures are ``fixed_size_list<uint64, K>`` so downstream stages view
 them zero-copy as an (n, K) NumPy matrix (SURVEY.md §1.2).
@@ -19,7 +21,7 @@ import numpy as np
 import pyarrow as pa
 
 from ray_data_mplsh.config import MPLSHConfig
-from ray_data_mplsh.functions.extract import tokenize_batch
+from ray_data_mplsh.functions.extract import word_hashes
 from ray_data_mplsh.functions.hashing import (
     hash_str_array, make_perm_params, minhash_signatures, poly_str_hashes,
     rolling_shingle_hashes,
@@ -54,9 +56,7 @@ class MinHasher:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg = self.cfg
-        words, offs = tokenize_batch(batch["text"])
-        wh = (self._word_hash(words) if len(words)
-              else np.empty(0, np.uint64))
+        wh, offs = word_hashes(batch["text"], self._word_hash)
         sh, soffs = rolling_shingle_hashes(wh, offs, cfg.k_shingle)
         sig = minhash_signatures(sh, soffs, self.a, self.b)
         n_sh = np.diff(soffs)

@@ -35,6 +35,12 @@ the loss negligible.
 pass for a driver-sized pair set, else a second shuffle — the same pair
 always lands in one partition, so a per-partition unique is globally
 exact.
+
+``candidate_pairs`` is S4-S5 as the pipelines run them: when the key
+stream (n_docs x bands x (1 + probes) rows) fits
+``cfg.local_state_max_rows`` and no salting is asked for, the keys are
+emitted and bucketed in one driver pass over the materialized
+signatures, with no exchange; else ``band_stage`` -> ``pairs_stage``.
 """
 
 from __future__ import annotations
@@ -43,8 +49,11 @@ import numpy as np
 import pyarrow as pa
 
 from ray_data_mplsh.config import MPLSHConfig
+from ray_data_mplsh.stages.bands import (
+    band_stage, emit_batch_size, make_band_emitter,
+)
 from ray_data_mplsh.stages.shuffle import (
-    group_runs, local_or_exchange, partition_apply,
+    group_runs, local_or_exchange, partition_apply, runs_local,
 )
 
 PAIRS_SCHEMA = pa.schema([("a", pa.uint64()), ("b", pa.uint64())])
@@ -162,6 +171,37 @@ def pairs_stage(band_keys, cfg: MPLSHConfig, num_partitions: int):
     else:
         pairs = partition_apply(band_keys, "band_hash", emit,
                                 num_partitions)
+    return dedup_pairs(pairs, num_partitions,
+                       local_max_rows=cfg.local_state_max_rows)
+
+
+def candidate_pairs(sigs, cfg: MPLSHConfig, num_partitions: int,
+                    n_docs: int, counters: dict | None = None):
+    """Materialized sigs (doc_id, sig) of ``n_docs`` rows -> deduped
+    candidate pairs (a, b), S4 and S5 on ``shuffle.local_or_exchange``.
+    On its local branch the one driver pass sees every bucket, so the
+    emitter's own unique is the global pair dedup; the exchange branch
+    emits keys map-side (bundled by ``emit_batch_size``) and dedups
+    through ``dedup_pairs``. Salted configs keep ``pairs_stage``'s
+    star-linked plan, whose pairs differ. ``counters["pairs_path"]``
+    records the branch that ran."""
+    n_keys = n_docs * cfg.bands * (1 + cfg.probes)
+    local = cfg.salt_shards <= 1 and runs_local(n_keys,
+                                                cfg.local_state_max_rows)
+    if counters is not None:
+        counters["pairs_path"] = "local" if local else "exchange"
+    if cfg.salt_shards > 1:
+        return pairs_stage(band_stage(sigs, cfg, n_docs=n_docs), cfg,
+                           num_partitions)
+    schema = pa.schema([("doc_id", pa.uint64()),
+                        ("sig", pa.list_(pa.uint64(), cfg.num_perm))])
+    pairs = local_or_exchange(
+        sigs, "band_hash", _emit_pairs_fn("band_hash", cfg.bucket_cap),
+        num_partitions, n_rows=n_keys,
+        local_max_rows=cfg.local_state_max_rows, schema=schema,
+        prep=make_band_emitter(cfg), batch_size=emit_batch_size(n_docs))
+    if local:
+        return pairs
     return dedup_pairs(pairs, num_partitions,
                        local_max_rows=cfg.local_state_max_rows)
 

@@ -121,6 +121,12 @@ def partition_apply(ds, key, fn: Callable[[pa.Table], pa.Table],
     return parted.groupby("_part").map_groups(per_part, batch_format="pyarrow")
 
 
+def runs_local(n_rows: int, local_max_rows: int) -> bool:
+    """The hybrid gate of ``local_or_exchange``: ``n_rows`` fit the
+    driver-side budget, and ``local_max_rows=0`` always exchanges."""
+    return 0 < local_max_rows and n_rows <= local_max_rows
+
+
 def local_or_exchange(ds, key, fn: Callable[[pa.Table], pa.Table],
                       num_partitions: int, *, n_rows: int,
                       local_max_rows: int, schema: pa.Schema,
@@ -146,7 +152,7 @@ def local_or_exchange(ds, key, fn: Callable[[pa.Table], pa.Table],
     gathered table, map-side (``batch_size`` rows per call, None = one
     call per block) before the exchange — so rows derived from a
     materialized Dataset cost no job of their own on the local branch."""
-    if 0 < local_max_rows and n_rows <= local_max_rows:
+    if runs_local(n_rows, local_max_rows):
         t = gather_table(ds, schema)
         return from_arrow_blocks(fn(prep(t) if prep else t),
                                  target_rows=2048)

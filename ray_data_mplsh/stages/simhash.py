@@ -19,7 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from ray_data_mplsh.config import MPLSHConfig
-from ray_data_mplsh.functions.extract import tokenize_batch
+from ray_data_mplsh.functions.extract import word_hashes
 from ray_data_mplsh.functions.hashing import mix64, poly_str_hashes, \
     rolling_shingle_hashes
 from ray_data_mplsh.functions.perturb import perturbation_sets
@@ -67,12 +67,10 @@ class SimHasher:
         self.cfg = cfg
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        words, offs = tokenize_batch(batch["text"])
         # poly_str_hashes (not SipHash): SimHash's output bits ARE the
         # hash bits, so the word hash must be SQL-replayable for the
         # q_simhash_pairs oracle to recompute the signatures
-        wh = (poly_str_hashes(words) if len(words)
-              else np.empty(0, np.uint64))
+        wh, offs = word_hashes(batch["text"], poly_str_hashes)
         sh, soffs = rolling_shingle_hashes(wh, offs, self.cfg.k_shingle)
         sig, margins = simhash_with_margins(sh, soffs)
         keep = np.diff(soffs) > 0

@@ -4,10 +4,10 @@
 counts below are CEILINGS measured on the small fixture: a change may
 lower them (then lower the pin too) but must not raise them silently.
 Every gate sizes itself from counts it already holds, so no gate adds a
-job of its own. With S9 a call's seven are: S1+S2 hashing, S3, S5, S6,
-the S9 canonical-anchor pass, the S9 span pass and the final rewrite
-(S2's member map, S4-S5's pairing, S7 and S8 launch none on a
-driver-sized corpus)."""
+job of its own. With S9 a call's six are: S1+S2 hashing, S3, S6, the S9
+canonical-anchor pass, the S9 span pass and the final rewrite (S2's
+member map, S4-S5's key emission and bucketing, S7 and S8 launch none on
+a driver-sized corpus)."""
 
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ def _count_executions(monkeypatch) -> list:
 
 # executions per call, with dedup_out materialized as a consumer would
 @pytest.mark.parametrize("extract,skip_substring,ceiling", [
-    (True, False, 7), (True, True, 5), (False, False, 7), (False, True, 5),
+    (True, False, 6), (True, True, 4), (False, False, 6), (False, True, 4),
 ])
 def test_run_dedup_execution_ceiling(ray_session, small_fixture, monkeypatch,
                                      extract, skip_substring, ceiling):
@@ -50,18 +50,20 @@ def test_run_dedup_execution_ceiling(ray_session, small_fixture, monkeypatch,
                     skip_substring=skip_substring)
     res.dedup_out.materialize()
     assert len(calls) <= ceiling, len(calls)
+    assert res.counters["pairs_path"] == "local"
 
 
 # a fold of the fixture's last third onto a checkpointed base of the first
 # two thirds (the base keeps its S9 checkpoints, so a delta fold can diff
-# its substring pairs). The joint fold with S9 runs twelve: the new
+# its substring pairs). The joint fold with S9 runs eleven: the new
 # shard's S1+S2 hashing and its materialized rep map, the one probe scan of
 # the base docs, the adoption map, S3 on the new reps, the signature
-# union, S5, S6, the verified union, and S9's three. A delta fold with S9
-# adds the read of the base substr_pairs; its row filter rides the rewrite.
+# union, S6 (S4-S5 run on the driver), the verified union, and S9's three.
+# A delta fold with S9 adds the read of the base substr_pairs; its row
+# filter rides the rewrite.
 @pytest.mark.parametrize("skip_substring,output,ceiling", [
-    (False, "joint", 12), (False, "delta", 13),
-    (True, "joint", 10), (True, "delta", 10),
+    (False, "joint", 11), (False, "delta", 12),
+    (True, "joint", 9), (True, "delta", 9),
 ])
 def test_fold_execution_ceiling(ray_session, small_fixture, monkeypatch,
                                 tmp_path, skip_substring, output, ceiling):
@@ -84,4 +86,5 @@ def test_fold_execution_ceiling(ray_session, small_fixture, monkeypatch,
         extract=True, skip_substring=skip_substring, output=output)
     res.dedup_out.materialize()
     assert res.counters["output_mode"] == output
+    assert res.counters["pairs_path"] == "local"
     assert len(calls) <= ceiling, len(calls)

@@ -292,3 +292,66 @@ def test_winnow_anchors_match_per_doc_positions(monkeypatch):
     chunked = H.winnow_anchors_batch(offs, data, 30, 21)
     for x, y in zip(chunked, flat):
         assert np.array_equal(x, y)
+
+
+def _siphash(key: bytes, msg: bytes, c: int, d: int) -> int:
+    """Reference SipHash-c-d (Aumasson & Bernstein), pure Python."""
+    M = (1 << 64) - 1
+
+    def rotl(x, b):
+        return ((x << b) | (x >> (64 - b))) & M
+
+    k0 = int.from_bytes(key[:8], "little")
+    k1 = int.from_bytes(key[8:], "little")
+    v = [k0 ^ 0x736F6D6570736575, k1 ^ 0x646F72616E646F6D,
+         k0 ^ 0x6C7967656E657261, k1 ^ 0x7465646279746573]
+
+    def rnd():
+        v[0] = (v[0] + v[1]) & M
+        v[1] = rotl(v[1], 13) ^ v[0]
+        v[0] = rotl(v[0], 32)
+        v[2] = (v[2] + v[3]) & M
+        v[3] = rotl(v[3], 16) ^ v[2]
+        v[0] = (v[0] + v[3]) & M
+        v[3] = rotl(v[3], 21) ^ v[0]
+        v[2] = (v[2] + v[1]) & M
+        v[1] = rotl(v[1], 17) ^ v[2]
+        v[2] = rotl(v[2], 32)
+
+    tail = len(msg) % 8
+    words = [int.from_bytes(msg[i:i + 8], "little")
+             for i in range(0, len(msg) - tail, 8)]
+    words.append(int.from_bytes(msg[len(msg) - tail:], "little")
+                 | ((len(msg) & 0xFF) << 56))
+    for m in words:
+        v[3] ^= m
+        for _ in range(c):
+            rnd()
+        v[0] ^= m
+    v[2] ^= 0xFF
+    for _ in range(d):
+        rnd()
+    return v[0] ^ v[1] ^ v[2] ^ v[3]
+
+
+def test_hash_str_array_is_siphash24_then_mix64():
+    """The "sip" word hash is pandas' SipHash-2-4 (key
+    b"0123456789123456") of the utf-8 bytes, finalized by mix64 — not
+    SipHash-1-3, and not the raw SipHash."""
+    key = b"0123456789123456"
+    words = ["", "abc", "exactly8", "more than eight bytes", "straße日本"]
+    got = hash_str_array(words)
+    for w, h in zip(words, got):
+        raw = np.array([_siphash(key, w.encode(), 2, 4)], np.uint64)
+        assert h == mix64(raw)[0], w
+        assert int(h) != int(mix64(np.array(
+            [_siphash(key, w.encode(), 1, 3)], np.uint64))[0])
+
+
+def test_hash_str_array_null_hashes_as_the_string_none():
+    import pyarrow as pa
+
+    none = hash_str_array(["None"])[0]
+    assert hash_str_array([None])[0] == none
+    assert hash_str_array(pa.array([None, "x"], pa.string()))[0] == none
+    assert hash_str_array([None])[0] != hash_str_array([""])[0]

@@ -118,6 +118,34 @@ def test_salted_path_equivalent(ray_session, small_fixture, small_oracle):
     assert pipe == small_oracle.clusters
 
 
+@pytest.mark.parametrize("overrides,path", [
+    ({}, "local"), ({"local_state_max_rows": 0}, "exchange"),
+    ({"salt_shards": 2}, "exchange"),
+])
+def test_candidate_pairs_equals_band_then_pairs_stage(pipeline_result,
+                                                      overrides, path):
+    """S4-S5 through ``candidate_pairs`` (one driver pass when the key
+    stream fits, else the exchange) give the same (a, b) set as the
+    ``band_stage`` -> ``pairs_stage`` composition, salted included."""
+    import dataclasses
+
+    from ray_data_mplsh.stages.bands import band_stage
+    from ray_data_mplsh.stages.pairs import candidate_pairs, pairs_stage
+    from ray_data_mplsh.stages.shuffle import gather_columns
+
+    cfg = dataclasses.replace(MPLSHConfig(), **overrides)
+    sigs = pipeline_result.sigs
+    n = sigs.count()
+    counters: dict = {}
+    got = gather_columns(candidate_pairs(sigs, cfg, 8, n, counters), "a", "b")
+    want = gather_columns(pairs_stage(band_stage(sigs, cfg), cfg, 8),
+                          "a", "b")
+    assert counters["pairs_path"] == path
+    assert len(want[0]) > 0
+    assert set(zip(*got)) == set(zip(*want))
+    assert len(got[0]) == len(set(zip(*got)))          # deduped
+
+
 def test_shuffle_verify_path_equivalent(ray_session, small_fixture,
                                         small_oracle):
     """Forcing the shuffle sig-attach path (broadcast threshold 0) gives the
