@@ -73,15 +73,17 @@ def make_band_emitter(cfg: MPLSHConfig):
 def emit_batch_size(n_docs: int | None) -> int | None:
     """The band emitter's ``batch_size``. When the caller knows ``n_docs``
     (run_dedup does — it counts the materialized signatures) and the
-    corpus is large (>= ``output.BUNDLE_MIN_DOCS``; small corpora are
-    fixed-overhead-bound and pipeline better unbundled, None), the
-    emitter's input is bundled into ~64 data-sized blocks: the key
-    stream feeds a sort-exchange that pays one shuffle object per
-    (block x partition), and upstream stages leave signatures in
-    ~rows/256 slivers — 256 x 64 objects measured 2-3x slower than
-    64 x 64 on the 150k-doc scaling fixture. The bundle size is a pure
-    function of the data (never the cluster), keeping the physical plan
-    identical across cluster sizes — the scaling-bench invariant. Sig
+    corpus is large (>= ``output.BUNDLE_MIN_DOCS``), the emitter's input
+    is bundled into ~64 data-sized blocks: the key stream feeds a
+    sort-exchange that pays one shuffle object per (block x partition),
+    and 256 x 64 objects measured 2-3x slower than 64 x 64 on the
+    150k-doc scaling fixture. Below the gate (None) the exchange reads
+    the signature blocks as S3 wrote them, one per S3 task of >= 1,024
+    rows (``minhash_batch_size``), and the local branch of
+    ``pairs.candidate_pairs`` reads them on the driver with no exchange
+    at all. The bundle size is a pure function of the data (never the
+    cluster), keeping the physical plan identical across cluster
+    sizes — the scaling-bench invariant. Sig
     rows are fixed-width (~num_perm x 8B), so an 8192-row cap bounds
     any bundle at a few MB."""
     from ray_data_mplsh.stages.output import BUNDLE_MIN_DOCS

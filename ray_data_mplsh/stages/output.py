@@ -39,7 +39,7 @@ from ray_data_mplsh.functions.suffix import (
 from ray_data_mplsh.stages.pairs import _emit_pairs_fn, dedup_pairs
 from ray_data_mplsh.stages.shuffle import (
     cached_get, gather_columns, gather_kv, group_runs, local_or_exchange,
-    lookup_u64, pair_apply, sized_partitions,
+    lookup_u64, pair_apply, runs_local, sized_partitions,
 )
 
 
@@ -92,11 +92,15 @@ def assign_and_mark(docs_with_rep, labels, cfg: MPLSHConfig, *,
 
 # ------------------------- substring pass (op 24) -------------------------
 
-# large-corpus gate for bundling the exchange-feeding emitters (see
-# _bundle_batch_size / bands.band_stage): bundling wins only when the
-# exchange's block x partition object count dominates; small corpora
-# pipeline better unbundled. Module-level so tests can lower them and
-# pin bundled == unbundled bit-equality on a fixture-sized corpus.
+# large-corpus gate for bundling the emitters that feed a sort exchange
+# (see _bundle_batch_size / bands.band_stage): there, bundling wins only
+# when the exchange's block x partition object count dominates, and
+# small corpora pipeline better unbundled. This is about those emitters
+# only: the corpus passes are bundled at every size by S1
+# (docs.DOCS_BATCH_ROWS), since on 1 CPU 31 reader-sized tasks paid
+# 0.48-0.50 s for 0.16 s of S1+S2 work and 0.42 s for 0.08 s of rewrite.
+# Module-level so tests can lower them and pin bundled == unbundled
+# bit-equality on a fixture-sized corpus.
 BUNDLE_MIN_DOCS = 32768
 BUNDLE_MIN_BYTES = 32 << 20
 
@@ -232,9 +236,11 @@ def _fp_pairs(fps, n_fps: int, cfg: MPLSHConfig, num_partitions: int, *,
     on the exchange). ``local_or_exchange`` groups the fp buckets — one
     driver numpy pass for a driver-sized set, else the fp-keyed exchange;
     bit-equal, because each fp bucket is wholly in one call either way
-    and _pairs_of_runs is order-independent (runs re-sorted, star
-    anchored at the min id; pinned by tests/test_suffix.py) — and
-    ``dedup_pairs`` merges the pairs several buckets found."""
+    and _pairs_of_runs is order-independent (each pair emitted as
+    (min, max), star anchored at the min id; pinned by
+    tests/test_pairs.py). The local pass sees every bucket, so its own
+    unique is the global one; the exchange's pairs go through
+    ``dedup_pairs`` to merge those several partitions found."""
     pairs = local_or_exchange(
         fps, "fp", _emit_pairs_fn("fp", cfg.substr_bucket_cap),
         num_partitions, n_rows=n_fps,
@@ -243,6 +249,8 @@ def _fp_pairs(fps, n_fps: int, cfg: MPLSHConfig, num_partitions: int, *,
                          if anchored else
                          [("fp", pa.uint64()), ("doc_id", pa.uint64())]),
         prep=_unique_fps if anchored else None, batch_size=bundle)
+    if runs_local(n_fps, cfg.local_state_max_rows):
+        return pairs
     return dedup_pairs(pairs, num_partitions,
                        local_max_rows=cfg.local_state_max_rows)
 
@@ -250,16 +258,17 @@ def _fp_pairs(fps, n_fps: int, cfg: MPLSHConfig, num_partitions: int, *,
 def _bundle_batch_size(n_canon: int, text_bytes: int) -> int | None:
     """Batch size of the fingerprint emitter that feeds the pairing
     exchange. LARGE corpora only: bundle the emitter's input so its
-    OUTPUT blocks are few and big — upstream stages leave the corpus in
-    ~rows/256 slivers, and a sort-exchange pays one shuffle object per
-    (block x partition); 256 blocks x 64 partitions measured 2-3x slower
-    than 64 x 64 on the 150k-doc scaling fixture (16cpu leg 71.3s ->
-    47.5s). Sized by BYTES (~32 MB of text per bundle — docs vary 100x
-    in length); small corpora keep the unbundled plan (None: one call
-    per block), whose many tiny tasks pipeline better when the whole
-    stage is fixed-overhead-bound. The gate is a pure function of the
-    (canonical-set) data, never the cluster — the scaling-bench
-    invariant."""
+    OUTPUT blocks are few and big — at scale the canonical blocks hold
+    far fewer rows than a bundle, and a sort-exchange pays one shuffle
+    object per (block x partition); 256 blocks x 64 partitions measured
+    2-3x slower than 64 x 64 on the 150k-doc scaling fixture (16cpu leg
+    71.3s -> 47.5s). Sized by BYTES (~32 MB of text per bundle — docs
+    vary 100x in length); small canonical sets keep the unbundled plan
+    (None: one call per block) into the exchange. Their blocks follow
+    S1's grid of >= 1,024-row tasks (docs.DOCS_BATCH_ROWS), not the
+    reader's slivers, so this gate does not set a small corpus's
+    per-task cost. The gate is a pure function of the (canonical-set) data, never the
+    cluster — the scaling-bench invariant."""
     if n_canon >= BUNDLE_MIN_DOCS and text_bytes >= BUNDLE_MIN_BYTES:
         avg_doc = max(1, text_bytes // max(n_canon, 1))
         return int(min(8192, max(512, BUNDLE_MIN_BYTES // avg_doc)))

@@ -4,10 +4,12 @@
 
 One coarse-partitioned shuffle on ``band_hash`` (the hash already
 namespaces band_id + probe mask, so it IS the (band_id, band_hash) key).
-Inside a partition, a NumPy sort groups buckets:
+Inside a partition, a NumPy sort groups buckets, and ``_pairs_of_runs``
+pairs all of them in one vectorized pass (no Python loop per bucket —
+with T probes a doc has b(1+T) keys, so bucket pairing runs per key):
 
-* bucket size <= bucket_cap: all C(g,2) pairs (size-2 runs — the vast
-  majority — fully vectorized; bigger runs via triu_indices);
+* bucket size <= bucket_cap: all C(g,2) pairs, each as (min, max), so
+  the order of ids inside a bucket does not matter;
 * bucket size  > bucket_cap: STAR pairing (every member <-> min doc_id),
   which preserves union-find connectivity at O(g) pairs and bounds any
   single bucket's fan-out (SURVEY.md op 15 straggler bound);
@@ -62,32 +64,38 @@ PAIRS_SCHEMA = pa.schema([("a", pa.uint64()), ("b", pa.uint64())])
 def _pairs_of_runs(ids: np.ndarray, starts: np.ndarray, cap: int,
                    star_only: bool = False
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (a<b) for each run of a sorted-by-key id array."""
+    """Pairs (a < b) of the runs ``ids[starts[i]:starts[i + 1]]`` of a
+    grouped id array, each run in any order: all C(g, 2) pairs of a run
+    of g <= ``cap`` ids, and for a bigger run (every run with
+    ``star_only``) its min id paired with each other id. Self-pairs (a
+    repeated id) are dropped; a pair two runs find is kept twice. No
+    Python loop over runs: the clique pairs come in one ``np.repeat``
+    shot, the star anchors from one ``np.minimum.reduceat``."""
     sizes = np.diff(starts)
-    out_a: list[np.ndarray] = []
-    out_b: list[np.ndarray] = []
-    # size-2 runs, vectorized in one shot
-    two = np.flatnonzero(sizes == 2)
-    if len(two):
-        x = ids[starts[two]]
-        y = ids[starts[two] + 1]
-        out_a.append(np.minimum(x, y))
-        out_b.append(np.maximum(x, y))
-    # larger runs
-    for ri in np.flatnonzero(sizes > 2):
-        run = np.sort(ids[starts[ri]:starts[ri + 1]])
-        g = len(run)
-        if g <= cap and not star_only:
-            i, j = np.triu_indices(g, k=1)
-            out_a.append(run[i])
-            out_b.append(run[j])
-        else:  # star: anchor = min id
-            out_a.append(np.full(g - 1, run[0], dtype=np.uint64))
-            out_b.append(run[1:])
-    if not out_a:
-        e = np.empty(0, dtype=np.uint64)
-        return e, e
-    return np.concatenate(out_a), np.concatenate(out_b)
+    multi = sizes >= 2                    # a singleton run pairs nothing
+    ids, sizes = ids[np.repeat(multi, sizes)], sizes[multi]
+    is_star = star_only | (sizes > cap)
+    on_star = np.repeat(is_star, sizes)
+    # clique runs: element p of a run of g pairs with the g-1-p after it
+    cids, cg = ids[~on_star], sizes[~is_star]
+    after = np.repeat(cg, cg) - 1 - _pos_in_runs(cg)
+    ia = np.repeat(np.arange(len(cids)), after)
+    ib = ia + 1 + _pos_in_runs(after)
+    x, y = cids[ia], cids[ib]
+    # star runs: every member against the run's min id
+    sids, sg = ids[on_star], sizes[is_star]
+    anchor = np.repeat(np.minimum.reduceat(sids, np.cumsum(sg) - sg), sg) \
+        if len(sids) else sids
+    a = np.concatenate([np.minimum(x, y), anchor])
+    b = np.concatenate([np.maximum(x, y), sids])
+    keep = a != b
+    return a[keep], b[keep]
+
+
+def _pos_in_runs(sizes: np.ndarray) -> np.ndarray:
+    """0, 1, ..., g-1 for each run size g, concatenated."""
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes,
+                                              sizes)
 
 
 def unique_pair_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -109,10 +117,8 @@ def _emit_pairs_fn(key_col: str, cap: int):
     def fn(part: pa.Table) -> pa.Table:
         key = part[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
         ids = part["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        order, starts = group_runs(key)
+        order, starts = group_runs(key, stable=False)
         a, b = _pairs_of_runs(ids[order], starts, cap)
-        keep = a != b
-        a, b = a[keep], b[keep]
         u = unique_pair_rows(a, b)
         return pa.Table.from_arrays([pa.array(a[u], pa.uint64()),
                                      pa.array(b[u], pa.uint64())],
@@ -124,11 +130,10 @@ def _shard_minima_fn(part: pa.Table) -> pa.Table:
     """Per (band_hash) bucket: link all shard minima to the global minimum."""
     bh = part["band_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
     ids = part["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    order, starts = group_runs(bh)
+    order, starts = group_runs(bh, stable=False)
     a, b = _pairs_of_runs(ids[order], starts, cap=0, star_only=True)
-    keep = a != b
-    return pa.Table.from_arrays([pa.array(a[keep], pa.uint64()),
-                                 pa.array(b[keep], pa.uint64())],
+    return pa.Table.from_arrays([pa.array(a, pa.uint64()),
+                                 pa.array(b, pa.uint64())],
                                 schema=PAIRS_SCHEMA)
 
 
@@ -145,14 +150,12 @@ def _shard_min_emit(part: pa.Table) -> pa.Table:
     run's min doc_id — the shard's representative for cross-shard linking."""
     bh = part["band_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
     ids = part["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    order, starts = group_runs(bh)
-    sizes = np.diff(starts)
-    sel = sizes >= 1
+    order, starts = group_runs(bh, stable=False)
     run_min = np.minimum.reduceat(ids[order], starts[:-1]) if len(ids) else \
         np.empty(0, np.uint64)
     return pa.Table.from_arrays([
-        pa.array(bh[order][starts[:-1]][sel], pa.uint64()),
-        pa.array(run_min[sel], pa.uint64()),
+        pa.array(bh[order][starts[:-1]], pa.uint64()),
+        pa.array(run_min, pa.uint64()),
     ], names=["band_hash", "doc_id"])
 
 

@@ -407,11 +407,15 @@ def gather_slices(offs: np.ndarray, vals: np.ndarray, rows: np.ndarray
     return vals[idx], lens
 
 
-def group_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def group_runs(keys: np.ndarray, *, stable: bool = True
+               ) -> tuple[np.ndarray, np.ndarray]:
     """(order, run_starts) for grouping a partition by a uint64 key array:
     ``order`` sorts the rows; ``run_starts`` indexes group starts in the
-    sorted view (terminated by len)."""
-    order = np.argsort(keys, kind="stable")
+    sorted view (terminated by len). The sort is stable, so rows keep
+    their input order within a run (first-wins callers rely on it);
+    ``stable=False`` takes NumPy's faster default sort, for callers whose
+    result does not depend on the order inside a run."""
+    order = np.argsort(keys, kind="stable" if stable else None)
     sk = keys[order]
     if len(sk) == 0:
         return order, np.zeros(1, dtype=np.int64)

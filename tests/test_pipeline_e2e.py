@@ -301,3 +301,37 @@ def test_bundled_emitter_path_equivalent(pipeline_result, ray_session,
     import pandas as pd
 
     pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+
+def test_docs_stage_bundles_reader_slivers(ray_session, monkeypatch):
+    """S1 packs a reader's small blocks into tasks of at least
+    ``docs.DOCS_BATCH_ROWS`` rows: 2,600 text rows in 31 blocks come out
+    in at most ceil(2600 / 1024) blocks, the grid every later corpus pass
+    inherits, and with the same (doc_id, text) rows as an unbundled run."""
+    import math
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from ray_data_mplsh.stages import docs as D
+
+    n = 2600
+    t = pa.table({
+        "url": [f"http://h{i % 7}.example/p{i}" for i in range(n)],
+        "text": [f"word{i} body " * (i % 9) for i in range(n)],
+        "lang": ["en"] * n})
+    k = math.ceil(n / 31)
+    pages = rd.from_arrow([t.slice(i, k) for i in range(0, n, k)])
+    assert pages.num_blocks() == 31
+
+    def rows(ds):
+        d = ds.to_pandas()
+        return set(zip(d["doc_id"].tolist(), d["text"].tolist()))
+
+    got = D.docs_stage(pages, MPLSHConfig(), extract=False).materialize()
+    assert got.num_blocks() <= math.ceil(n / D.DOCS_BATCH_ROWS)
+    monkeypatch.setattr(D, "DOCS_BATCH_ROWS", None)
+    want = D.docs_stage(pages, MPLSHConfig(), extract=False).materialize()
+    assert want.num_blocks() == 31
+    assert 0 < got.count() < n           # min_chars drops the short rows
+    assert rows(got) == rows(want)
