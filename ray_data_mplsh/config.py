@@ -103,7 +103,6 @@ class MPLSHConfig:
                                   # the shuffle attach by ~30s per run).
                                   # S2 gathers its corpus whole to the
                                   # driver only under this bound too
-    minhash_batch_size: int = 1024
 
     # --- checkpointing (ops 3-4) ---
     ckpt_dir: str = ""            # "" = no checkpoints
@@ -130,8 +129,7 @@ class MPLSHConfig:
 
         sem = {
             k: v for k, v in asdict(self).items()
-            if k not in ("num_partitions", "minhash_batch_size",
-                         "ckpt_dir", "run_id",
+            if k not in ("num_partitions", "ckpt_dir", "run_id",
                          "broadcast_max_docs", "local_state_max_rows",
                          "substr_broadcast_max_bytes")
         }

@@ -76,10 +76,3 @@ def perturbation_sets(scores: np.ndarray, max_sets: int,
                 seen.add(expand)
                 heapq.heappush(heap, (total + float(s[j + 1]), expand))
     return out
-
-
-def e2lsh_pair_of(M: int) -> np.ndarray:
-    """Unit layout for E2LSH-style perturbations: unit 2i = (coord i, -1),
-    unit 2i+1 = (coord i, +1); each conflicts with its sibling."""
-    p = np.arange(2 * M, dtype=np.int64)
-    return p ^ 1

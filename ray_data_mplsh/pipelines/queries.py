@@ -1361,24 +1361,24 @@ def q_lsh_verified_pairs(sf_dir: str):
 def q_substring_candidates(sf_dir: str):
     """The substring pass's candidate generation (op 24 front half),
     driver-hash-checked: the production ``_fingerprint_emitter`` (batch
-    winnow kernel) -> fp-keyed bucket pairing (``_emit_pairs_fn``: all
-    C(g,2) pairs at or under substr_bucket_cap, star above) -> global
-    pair dedup, replayed end-to-end by ``_SUBSTR_PAIRS_SQL`` (winnow
-    CTEs + the equal-fp self-join with the cap/star rule). Same ASCII
-    precondition as q_fingerprints."""
-    from ray_data_mplsh.stages.output import _fingerprint_emitter
-    from ray_data_mplsh.stages.pairs import _emit_pairs_fn, dedup_pairs
-    from ray_data_mplsh.stages.shuffle import (default_partitions,
-                                               partition_apply)
+    winnow kernel) -> fp-keyed ``bucket_pairs`` (all C(g,2) pairs at or
+    under substr_bucket_cap, star above, globally deduped), replayed
+    end-to-end by ``_SUBSTR_PAIRS_SQL`` (winnow CTEs + the equal-fp
+    self-join with the cap/star rule). Same ASCII precondition as
+    q_fingerprints."""
+    from ray_data_mplsh.stages.output import FP_SCHEMA, _fingerprint_emitter
+    from ray_data_mplsh.stages.pairs import bucket_pairs
+    from ray_data_mplsh.stages.shuffle import default_partitions
 
     cfg = MPLSHConfig()
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     P = default_partitions(cfg.num_partitions)
     fps = docs.map_batches(_fingerprint_emitter(cfg),
-                           batch_format="pyarrow")
-    pairs = partition_apply(fps, "fp",
-                            _emit_pairs_fn("fp", cfg.substr_bucket_cap), P)
-    pairs = dedup_pairs(pairs, P, local_max_rows=cfg.local_state_max_rows)
+                           batch_format="pyarrow").materialize()
+    pairs = bucket_pairs(fps, "fp", cfg.substr_bucket_cap, P,
+                         n_rows=fps.count(),
+                         local_max_rows=cfg.local_state_max_rows,
+                         schema=FP_SCHEMA)
 
     def fmt(t: pa.Table) -> pa.Table:
         return pa.table({"a": pc.cast(t["a"], pa.int64()),

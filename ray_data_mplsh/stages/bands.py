@@ -14,10 +14,14 @@ In the discrete MinHash space all 1-mask probes are equiprobable, so
 continuous-space score-ordered generator lives in functions/perturb.py and
 drives the SimHash mode, where per-bit margins give non-trivial scores.
 
-1 row in -> b*(1+T) rows out. Stateless, vectorized; the expansion streams
+1 row in -> b*(1+T) rows out. Stateless, vectorized; the emitter is the
+``prep`` of S5's ``pairs.bucket_pairs``, so the expansion streams
 straight into the S5 shuffle and is never materialized (SURVEY.md §4.3),
 or, when the key stream fits ``local_state_max_rows``, is built and
-bucketed in one driver pass (``pairs.candidate_pairs``).
+bucketed in one driver pass. ``band_stage`` is the stand-alone S4 map
+(the salted plan and the per-stage trace run it); its batch size comes
+from the bundling policy next to the exchange it feeds
+(``pairs.emit_batch_size``).
 """
 
 from __future__ import annotations
@@ -70,30 +74,10 @@ def make_band_emitter(cfg: MPLSHConfig):
     return emit
 
 
-def emit_batch_size(n_docs: int | None) -> int | None:
-    """The band emitter's ``batch_size``. When the caller knows ``n_docs``
-    (run_dedup does — it counts the materialized signatures) and the
-    corpus is large (>= ``output.BUNDLE_MIN_DOCS``), the emitter's input
-    is bundled into ~64 data-sized blocks: the key stream feeds a
-    sort-exchange that pays one shuffle object per (block x partition),
-    and 256 x 64 objects measured 2-3x slower than 64 x 64 on the
-    150k-doc scaling fixture. Below the gate (None) the exchange reads
-    the signature blocks as S3 wrote them, one per S3 task of >= 1,024
-    rows (``minhash_batch_size``), and the local branch of
-    ``pairs.candidate_pairs`` reads them on the driver with no exchange
-    at all. The bundle size is a pure function of the data (never the
-    cluster), keeping the physical plan identical across cluster
-    sizes — the scaling-bench invariant. Sig
-    rows are fixed-width (~num_perm x 8B), so an 8192-row cap bounds
-    any bundle at a few MB."""
-    from ray_data_mplsh.stages.output import BUNDLE_MIN_DOCS
-
-    if n_docs and n_docs >= BUNDLE_MIN_DOCS:
-        return int(min(8192, max(512, n_docs // 64)))
-    return None
-
-
 def band_stage(sigs, cfg: MPLSHConfig, n_docs: int | None = None):
-    """Emit (doc_id, band_hash) keys, bundled by ``emit_batch_size``."""
+    """Emit (doc_id, band_hash) keys, bundled by the pairing exchange's
+    policy (``pairs.emit_batch_size``)."""
+    from ray_data_mplsh.stages.pairs import emit_batch_size  # pairs imports us
+
     return sigs.map_batches(make_band_emitter(cfg), batch_format="pyarrow",
                             batch_size=emit_batch_size(n_docs))

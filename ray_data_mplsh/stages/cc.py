@@ -32,16 +32,6 @@ from ray_data_mplsh.stages.shuffle import (
 EDGE_SCHEMA = pa.schema([("u", pa.uint64()), ("v", pa.uint64())])
 
 
-def _to_edges(batch: pa.Table) -> pa.Table:
-    """pairs (a,b) -> bidirectional edge rows (u,v)."""
-    a = batch["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    b = batch["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    return pa.Table.from_arrays([
-        pa.array(np.concatenate([a, b]), pa.uint64()),
-        pa.array(np.concatenate([b, a]), pa.uint64()),
-    ], schema=EDGE_SCHEMA)
-
-
 def _bidir(batch: pa.Table) -> pa.Table:
     u = batch["u"].to_numpy(zero_copy_only=False).astype(np.uint64)
     v = batch["v"].to_numpy(zero_copy_only=False).astype(np.uint64)

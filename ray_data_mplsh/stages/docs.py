@@ -42,10 +42,10 @@ DOCS_SCHEMA = pa.schema([
 # final rewrite) maps over S1's output blocks, so S1 sets the task grid
 # of the whole call. On 1 CPU those 31 tasks made the S1+S2 map take
 # 0.48-0.50 s for 0.16 s of work; in 1,024-row tasks the traced S2 of
-# that corpus went 1.42 -> 0.43 s and S8 0.54 -> 0.19 s. 1,024 is S3's
-# own rows per task (minhash_batch_size), so it limits no parallelism S3
-# does not; a row count, not a cluster-derived size, so the physical plan
-# stays a pure function of the data.
+# that corpus went 1.42 -> 0.43 s and S8 0.54 -> 0.19 s. S3 and the
+# SimHash signer map in tasks of the same rows, so it limits no
+# parallelism they do not; a row count, not a cluster-derived size, so
+# the physical plan stays a pure function of the data.
 DOCS_BATCH_ROWS = 1024
 
 # split at the FIRST "://" (non-greedy prefix, (?s) so embedded newlines

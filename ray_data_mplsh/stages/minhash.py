@@ -26,6 +26,7 @@ from ray_data_mplsh.functions.hashing import (
     hash_str_array, make_perm_params, minhash_signatures, poly_str_hashes,
     rolling_shingle_hashes,
 )
+from ray_data_mplsh.stages.docs import DOCS_BATCH_ROWS
 from ray_data_mplsh.stages.shuffle import task_local
 
 
@@ -87,4 +88,4 @@ def minhash_stage(reps, cfg: MPLSHConfig):
         return task_local(key, lambda: MinHasher(cfg))(batch)
 
     return cols.map_batches(fn, batch_format="pyarrow",
-                            batch_size=cfg.minhash_batch_size)
+                            batch_size=DOCS_BATCH_ROWS)

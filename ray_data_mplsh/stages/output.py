@@ -16,8 +16,8 @@ canonical docs and attaches their winnow anchors (every selected
 (fingerprint, byte position)); its output is the one materialized S9
 input. Candidates come from the per-doc unique fingerprints (guarantee:
 any shared span >= winnow_k + winnow_w - 1 = substr_len shares a
-fingerprint), paired per fp bucket by ``shuffle.local_or_exchange``
-(``_fp_pairs``) as S5 pairs its bands.
+fingerprint), paired per fp bucket by ``pairs.bucket_pairs``
+(``_fp_pairs``), the operator S5 pairs its bands with.
 Each pair's spans come from ``shuffle.pair_apply`` — the operator behind
 S6 — with the anchor kernel ``suffix.anchor_match_intervals`` (bytes
 compared next to aligned anchors only).
@@ -36,10 +36,10 @@ from ray_data_mplsh.functions.hashing import (
 from ray_data_mplsh.functions.suffix import (
     anchor_match_intervals, merge_intervals_grouped, remove_intervals,
 )
-from ray_data_mplsh.stages.pairs import _emit_pairs_fn, dedup_pairs
+from ray_data_mplsh.stages.pairs import _bundle_batch_size, bucket_pairs
 from ray_data_mplsh.stages.shuffle import (
-    cached_get, gather_columns, gather_kv, group_runs, local_or_exchange,
-    lookup_u64, pair_apply, runs_local, sized_partitions,
+    cached_get, gather_columns, gather_kv, group_runs, lookup_u64,
+    pair_apply, sized_partitions,
 )
 
 
@@ -92,17 +92,8 @@ def assign_and_mark(docs_with_rep, labels, cfg: MPLSHConfig, *,
 
 # ------------------------- substring pass (op 24) -------------------------
 
-# large-corpus gate for bundling the emitters that feed a sort exchange
-# (see _bundle_batch_size / bands.band_stage): there, bundling wins only
-# when the exchange's block x partition object count dominates, and
-# small corpora pipeline better unbundled. This is about those emitters
-# only: the corpus passes are bundled at every size by S1
-# (docs.DOCS_BATCH_ROWS), since on 1 CPU 31 reader-sized tasks paid
-# 0.48-0.50 s for 0.16 s of S1+S2 work and 0.42 s for 0.08 s of rewrite.
-# Module-level so tests can lower them and pin bundled == unbundled
-# bit-equality on a fixture-sized corpus.
-BUNDLE_MIN_DOCS = 32768
-BUNDLE_MIN_BYTES = 32 << 20
+# the pairing input: per-doc unique winnow fingerprints
+FP_SCHEMA = pa.schema([("fp", pa.uint64()), ("doc_id", pa.uint64())])
 
 # a canonical doc with its winnow anchors: the payload of the span pass
 ANCHORED = pa.struct([("text", pa.string()),
@@ -230,49 +221,16 @@ def _fp_rows(n_canon: int, text_bytes: int, cfg: MPLSHConfig) -> int:
 def _fp_pairs(fps, n_fps: int, cfg: MPLSHConfig, num_partitions: int, *,
               anchored: bool = False, bundle: int | None = None):
     """Winnow (fp, doc_id) rows -> unique candidate pairs: the bucket
-    pairing of the substring pass. With ``anchored``, ``fps`` holds
-    anchored docs (doc_id, anchored) instead, whose per-doc unique fps
-    ``_unique_fps`` derives inside the operator (``bundle`` docs per call
-    on the exchange). ``local_or_exchange`` groups the fp buckets — one
-    driver numpy pass for a driver-sized set, else the fp-keyed exchange;
-    bit-equal, because each fp bucket is wholly in one call either way
-    and _pairs_of_runs is order-independent (each pair emitted as
-    (min, max), star anchored at the min id; pinned by
-    tests/test_pairs.py). The local pass sees every bucket, so its own
-    unique is the global one; the exchange's pairs go through
-    ``dedup_pairs`` to merge those several partitions found."""
-    pairs = local_or_exchange(
-        fps, "fp", _emit_pairs_fn("fp", cfg.substr_bucket_cap),
-        num_partitions, n_rows=n_fps,
+    pairing of the substring pass, one ``bucket_pairs`` on the fp key.
+    With ``anchored``, ``fps`` holds anchored docs (doc_id, anchored)
+    instead, whose per-doc unique fps ``_unique_fps`` derives inside the
+    operator (``bundle`` docs per call on the exchange)."""
+    return bucket_pairs(
+        fps, "fp", cfg.substr_bucket_cap, num_partitions, n_rows=n_fps,
         local_max_rows=cfg.local_state_max_rows,
         schema=pa.schema([("doc_id", pa.uint64()), ("anchored", ANCHORED)]
-                         if anchored else
-                         [("fp", pa.uint64()), ("doc_id", pa.uint64())]),
+                         if anchored else FP_SCHEMA),
         prep=_unique_fps if anchored else None, batch_size=bundle)
-    if runs_local(n_fps, cfg.local_state_max_rows):
-        return pairs
-    return dedup_pairs(pairs, num_partitions,
-                       local_max_rows=cfg.local_state_max_rows)
-
-
-def _bundle_batch_size(n_canon: int, text_bytes: int) -> int | None:
-    """Batch size of the fingerprint emitter that feeds the pairing
-    exchange. LARGE corpora only: bundle the emitter's input so its
-    OUTPUT blocks are few and big — at scale the canonical blocks hold
-    far fewer rows than a bundle, and a sort-exchange pays one shuffle
-    object per (block x partition); 256 blocks x 64 partitions measured
-    2-3x slower than 64 x 64 on the 150k-doc scaling fixture (16cpu leg
-    71.3s -> 47.5s). Sized by BYTES (~32 MB of text per bundle — docs
-    vary 100x in length); small canonical sets keep the unbundled plan
-    (None: one call per block) into the exchange. Their blocks follow
-    S1's grid of >= 1,024-row tasks (docs.DOCS_BATCH_ROWS), not the
-    reader's slivers, so this gate does not set a small corpus's
-    per-task cost. The gate is a pure function of the (canonical-set) data, never the
-    cluster — the scaling-bench invariant."""
-    if n_canon >= BUNDLE_MIN_DOCS and text_bytes >= BUNDLE_MIN_BYTES:
-        avg_doc = max(1, text_bytes // max(n_canon, 1))
-        return int(min(8192, max(512, BUNDLE_MIN_BYTES // avg_doc)))
-    return None
 
 
 def substring_stage(dedup_out, cfg: MPLSHConfig, num_partitions: int):

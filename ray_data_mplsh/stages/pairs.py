@@ -38,11 +38,22 @@ pass for a driver-sized pair set, else a second shuffle — the same pair
 always lands in one partition, so a per-partition unique is globally
 exact.
 
-``candidate_pairs`` is S4-S5 as the pipelines run them: when the key
-stream (n_docs x bands x (1 + probes) rows) fits
-``cfg.local_state_max_rows`` and no salting is asked for, the keys are
-emitted and bucketed in one driver pass over the materialized
-signatures, with no exchange; else ``band_stage`` -> ``pairs_stage``.
+``bucket_pairs`` is that whole step — keyed rows -> unique (a, b) pairs —
+as the one operator every LSH key stream composes: S4-S5 band keys
+(``candidate_pairs``), S9 winnow fingerprints (``output._fp_pairs``,
+``q_substring_candidates``) and the SimHash block/probe keys
+(``simhash.simhash_pairs``). When the keyed rows fit
+``cfg.local_state_max_rows`` they are emitted and bucketed in one driver
+pass (``prep`` derives them from the materialized input), with no
+exchange; else the key exchange, then ``dedup_pairs``.
+
+``candidate_pairs`` is S4-S5 as the pipelines run them: ``bucket_pairs``
+over the n_docs x bands x (1 + probes) key stream, or, when salting is
+asked for, ``band_stage`` -> ``pairs_stage``.
+
+The emitters that feed a pairing exchange are bundled for large corpora
+only (``emit_batch_size`` for band keys, ``_bundle_batch_size`` for
+winnow fingerprints; both gated by ``BUNDLE_MIN_DOCS``).
 """
 
 from __future__ import annotations
@@ -51,14 +62,64 @@ import numpy as np
 import pyarrow as pa
 
 from ray_data_mplsh.config import MPLSHConfig
-from ray_data_mplsh.stages.bands import (
-    band_stage, emit_batch_size, make_band_emitter,
-)
+from ray_data_mplsh.stages.bands import band_stage, make_band_emitter
 from ray_data_mplsh.stages.shuffle import (
     group_runs, local_or_exchange, partition_apply, runs_local,
 )
 
 PAIRS_SCHEMA = pa.schema([("a", pa.uint64()), ("b", pa.uint64())])
+
+# large-corpus gate for bundling the emitters that feed a pairing
+# exchange (emit_batch_size, _bundle_batch_size): there, bundling wins
+# only when the exchange's block x partition object count dominates, and
+# small corpora pipeline better unbundled. This is about those emitters
+# only: the corpus passes are bundled at every size by S1
+# (docs.DOCS_BATCH_ROWS), since on 1 CPU 31 reader-sized tasks paid
+# 0.48-0.50 s for 0.16 s of S1+S2 work and 0.42 s for 0.08 s of rewrite.
+# Module-level so tests can lower them and pin bundled == unbundled
+# bit-equality on a fixture-sized corpus.
+BUNDLE_MIN_DOCS = 32768
+BUNDLE_MIN_BYTES = 32 << 20
+
+
+def emit_batch_size(n_docs: int | None) -> int | None:
+    """The band emitter's ``batch_size``. When the caller knows ``n_docs``
+    (run_dedup does — it counts the materialized signatures) and the
+    corpus is large (>= ``BUNDLE_MIN_DOCS``), the emitter's input is
+    bundled into ~64 data-sized blocks: the key stream feeds a
+    sort-exchange that pays one shuffle object per (block x partition),
+    and 256 x 64 objects measured 2-3x slower than 64 x 64 on the
+    150k-doc scaling fixture. Below the gate (None) the exchange reads
+    the signature blocks as S3 wrote them, one per S3 task of >= 1,024
+    rows (``docs.DOCS_BATCH_ROWS``), and the local branch of
+    ``bucket_pairs`` reads them on the driver with no exchange at all.
+    The bundle size is a pure function of the data (never the cluster),
+    keeping the physical plan identical across cluster sizes — the
+    scaling-bench invariant. Sig rows are fixed-width (~num_perm x 8B),
+    so an 8192-row cap bounds any bundle at a few MB."""
+    if n_docs and n_docs >= BUNDLE_MIN_DOCS:
+        return int(min(8192, max(512, n_docs // 64)))
+    return None
+
+
+def _bundle_batch_size(n_canon: int, text_bytes: int) -> int | None:
+    """Batch size of the S9 fingerprint emitter that feeds the pairing
+    exchange. LARGE corpora only: bundle the emitter's input so its
+    OUTPUT blocks are few and big — at scale the canonical blocks hold
+    far fewer rows than a bundle, and a sort-exchange pays one shuffle
+    object per (block x partition); 256 blocks x 64 partitions measured
+    2-3x slower than 64 x 64 on the 150k-doc scaling fixture (16cpu leg
+    71.3s -> 47.5s). Sized by BYTES (~32 MB of text per bundle — docs
+    vary 100x in length); small canonical sets keep the unbundled plan
+    (None: one call per block) into the exchange. Their blocks follow
+    S1's grid of >= 1,024-row tasks (docs.DOCS_BATCH_ROWS), not the
+    reader's slivers, so this gate does not set a small corpus's
+    per-task cost. The gate is a pure function of the (canonical-set)
+    data, never the cluster — the scaling-bench invariant."""
+    if n_canon >= BUNDLE_MIN_DOCS and text_bytes >= BUNDLE_MIN_BYTES:
+        avg_doc = max(1, text_bytes // max(n_canon, 1))
+        return int(min(8192, max(512, BUNDLE_MIN_BYTES // avg_doc)))
+    return None
 
 
 def _pairs_of_runs(ids: np.ndarray, starts: np.ndarray, cap: int,
@@ -112,8 +173,8 @@ def unique_pair_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _emit_pairs_fn(key_col: str, cap: int):
     """Per partition: group rows by ``key_col`` (S5 ``band_hash``, S9
-    winnow ``fp``) and emit each bucket's pairs, locally deduped (cheap;
-    the global dedup happens in dedup_pairs)."""
+    winnow ``fp``, SimHash ``band_hash``) and emit each bucket's pairs,
+    locally deduped (cheap; the global dedup happens in dedup_pairs)."""
     def fn(part: pa.Table) -> pa.Table:
         key = part[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
         ids = part["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -178,16 +239,37 @@ def pairs_stage(band_keys, cfg: MPLSHConfig, num_partitions: int):
                        local_max_rows=cfg.local_state_max_rows)
 
 
+def bucket_pairs(ds, key: str, cap: int, num_partitions: int, *,
+                 n_rows: int, local_max_rows: int, schema: pa.Schema,
+                 prep=None, batch_size: int | None = None):
+    """Keyed (``key``, doc_id) rows -> unique candidate pairs (a, b): every
+    bucket of equal ``key`` paired by ``_emit_pairs_fn`` (all pairs up to
+    ``cap`` members, a star at the min id above), on
+    ``shuffle.local_or_exchange`` with its ``n_rows`` / ``local_max_rows``
+    gate, ``schema`` projection and map-side ``prep`` (``batch_size``
+    rows per call on the exchange). Bit-equal on both branches, because
+    each bucket is wholly in one call either way and _pairs_of_runs is
+    order-independent (each pair emitted as (min, max); pinned by
+    tests/test_pairs.py). The local pass sees every bucket, so its own
+    unique is the global one; the exchange's pairs go through
+    ``dedup_pairs`` to merge those several partitions found."""
+    pairs = local_or_exchange(
+        ds, key, _emit_pairs_fn(key, cap), num_partitions, n_rows=n_rows,
+        local_max_rows=local_max_rows, schema=schema, prep=prep,
+        batch_size=batch_size)
+    if runs_local(n_rows, local_max_rows):
+        return pairs
+    return dedup_pairs(pairs, num_partitions, local_max_rows=local_max_rows)
+
+
 def candidate_pairs(sigs, cfg: MPLSHConfig, num_partitions: int,
                     n_docs: int, counters: dict | None = None):
     """Materialized sigs (doc_id, sig) of ``n_docs`` rows -> deduped
-    candidate pairs (a, b), S4 and S5 on ``shuffle.local_or_exchange``.
-    On its local branch the one driver pass sees every bucket, so the
-    emitter's own unique is the global pair dedup; the exchange branch
-    emits keys map-side (bundled by ``emit_batch_size``) and dedups
-    through ``dedup_pairs``. Salted configs keep ``pairs_stage``'s
-    star-linked plan, whose pairs differ. ``counters["pairs_path"]``
-    records the branch that ran."""
+    candidate pairs (a, b): S4 and S5 as one ``bucket_pairs`` over the
+    band keys, which the band emitter derives from the signatures (on
+    the exchange map-side, bundled by ``emit_batch_size``). Salted
+    configs keep ``pairs_stage``'s star-linked plan, whose pairs differ.
+    ``counters["pairs_path"]`` records the branch that ran."""
     n_keys = n_docs * cfg.bands * (1 + cfg.probes)
     local = cfg.salt_shards <= 1 and runs_local(n_keys,
                                                 cfg.local_state_max_rows)
@@ -198,15 +280,10 @@ def candidate_pairs(sigs, cfg: MPLSHConfig, num_partitions: int,
                            num_partitions)
     schema = pa.schema([("doc_id", pa.uint64()),
                         ("sig", pa.list_(pa.uint64(), cfg.num_perm))])
-    pairs = local_or_exchange(
-        sigs, "band_hash", _emit_pairs_fn("band_hash", cfg.bucket_cap),
-        num_partitions, n_rows=n_keys,
+    return bucket_pairs(
+        sigs, "band_hash", cfg.bucket_cap, num_partitions, n_rows=n_keys,
         local_max_rows=cfg.local_state_max_rows, schema=schema,
         prep=make_band_emitter(cfg), batch_size=emit_batch_size(n_docs))
-    if local:
-        return pairs
-    return dedup_pairs(pairs, num_partitions,
-                       local_max_rows=cfg.local_state_max_rows)
 
 
 def _unique_pairs(part: pa.Table) -> pa.Table:
@@ -226,7 +303,7 @@ def dedup_pairs(pairs, num_partitions: int, *, local_max_rows: int = 0):
     exchange. ``local_max_rows=0`` always exchanges with every column
     riding along, first row per pair: the route of web-scale pair
     volumes, of the forced-exchange tests and of the producers with
-    extra pair columns (simhash, embedding cosine)."""
+    extra pair columns (embedding cosine)."""
     if local_max_rows <= 0:
         return partition_apply(pairs, ("a", "b"), _unique_pairs,
                                num_partitions)

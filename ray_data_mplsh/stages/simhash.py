@@ -8,9 +8,12 @@ lowest-|margin| bits, ordered by the score-ordered perturbation sequencer
 give NON-degenerate scores, so this is the faithful continuous-space
 realization of [MPLSH §4.3]'s query-directed probing.
 
-The stage shapes mirror the MinHash mode: a plain-task map_batches for
-signatures + margins, a stateless band/probe emitter, the same
-coarse-partitioned pair shuffle.
+The stage shapes mirror the MinHash mode, on the same operators: a
+plain-task map_batches for signatures + margins, materialized once and
+counted; a stateless block/probe key emitter as the ``prep`` of
+``pairs.bucket_pairs`` (S5's bucket pairing); and the Hamming check as a
+``shuffle.pair_apply`` kernel (S6's verify step), which attaches each
+end's 64-bit signature by broadcast or by the doc-keyed exchange.
 """
 
 from __future__ import annotations
@@ -22,14 +25,16 @@ from ray_data_mplsh.config import MPLSHConfig
 from ray_data_mplsh.functions.extract import word_hashes
 from ray_data_mplsh.functions.hashing import mix64, poly_str_hashes, \
     rolling_shingle_hashes
-from ray_data_mplsh.functions.perturb import perturbation_sets
-from ray_data_mplsh.stages.pairs import dedup_pairs
-from ray_data_mplsh.stages.shuffle import (
-    group_runs, partition_apply, task_local,
-)
+from ray_data_mplsh.stages.bands import BAND_SCHEMA
+from ray_data_mplsh.stages.docs import DOCS_BATCH_ROWS
+from ray_data_mplsh.stages.pairs import bucket_pairs
+from ray_data_mplsh.stages.shuffle import pair_apply, task_local
 
 N_BLOCKS = 4
 BLOCK_BITS = 16
+
+SIG_SCHEMA = pa.schema([("doc_id", pa.uint64()), ("simhash", pa.uint64()),
+                        ("margins", pa.list_(pa.int64(), 64))])
 
 
 def simhash_with_margins(shingles: np.ndarray, offsets: np.ndarray
@@ -81,7 +86,7 @@ class SimHasher:
             pa.array(ids[keep], pa.uint64()),
             pa.array(sig[keep], pa.uint64()),
             m_arr,
-        ], names=["doc_id", "simhash", "margins"])
+        ], schema=SIG_SCHEMA)
 
 
 def _block_of(sig: np.ndarray, blk: int) -> np.ndarray:
@@ -89,7 +94,10 @@ def _block_of(sig: np.ndarray, blk: int) -> np.ndarray:
 
 
 def make_simhash_band_emitter(cfg: MPLSHConfig):
-    """Exact block keys + multi-probe keys from score-ordered bit flips."""
+    """(doc_id, simhash, margins) -> (doc_id, band_hash) rows: the exact
+    block keys + multi-probe keys from score-ordered bit flips. The block
+    (and the flipped block) is folded into the key, so keys only collide
+    within one block."""
     T = cfg.probes
 
     def emit(batch: pa.Table) -> pa.Table:
@@ -98,15 +106,13 @@ def make_simhash_band_emitter(cfg: MPLSHConfig):
         marg = batch["margins"].combine_chunks()
         mm = marg.values.to_numpy(zero_copy_only=False).reshape(-1, 64) \
             if len(marg) else np.empty((0, 64), np.int64)
-        out_id, out_band, out_hash, out_rank = [], [], [], []
+        out_id, out_hash = [], []
         n = len(sig)
         # exact keys, vectorized
         for blk in range(N_BLOCKS):
             key = mix64(_block_of(sig, blk) + np.uint64(blk << 32))
             out_id.append(ids)
-            out_band.append(np.full(n, blk, np.int32))
             out_hash.append(key)
-            out_rank.append(np.zeros(n, np.int8))
         # probe keys: per doc, flip the T cheapest single bits (score-ordered
         # perturbation sets restricted to singletons = bits by margin)
         if T > 0 and n:
@@ -118,99 +124,54 @@ def make_simhash_band_emitter(cfg: MPLSHConfig):
                 key = mix64(((flipped >> (blk * np.uint64(BLOCK_BITS)))
                              & np.uint64(0xFFFF)) + (blk << np.uint64(32)))
                 out_id.append(ids)
-                out_band.append(blk.astype(np.int32))
                 out_hash.append(key)
-                out_rank.append(np.full(n, t + 1, np.int8))
         return pa.Table.from_arrays([
             pa.array(np.concatenate(out_id), pa.uint64()),
-            pa.array(np.concatenate(out_band), pa.int32()),
             pa.array(np.concatenate(out_hash), pa.uint64()),
-            pa.array(np.concatenate(out_rank), pa.int8()),
-        ], names=["doc_id", "band_id", "band_hash", "probe_rank"])
+        ], schema=BAND_SCHEMA)
 
     return emit
+
+
+def _hamming_kernel(max_hamming: int):
+    """pair_apply kernel over (a, b, simhash_a, simhash_b): the pairs at
+    Hamming distance <= ``max_hamming``, with that distance."""
+    def kernel(a, b, sig_a, sig_b) -> pa.Table:
+        ham = _popcount64(sig_a.to_numpy(zero_copy_only=False) ^
+                          sig_b.to_numpy(zero_copy_only=False))
+        keep = ham <= max_hamming
+        return pa.table({"a": pa.array(a[keep], pa.uint64()),
+                         "b": pa.array(b[keep], pa.uint64()),
+                         "hamming": pa.array(ham[keep], pa.int64())})
+    return kernel
 
 
 def simhash_pairs(docs, cfg: MPLSHConfig, num_partitions: int,
                   max_hamming: int = 3):
     """docs (doc_id, text) -> pairs (a, b, hamming) with hamming <= cap.
 
-    Verification ships the 64-bit sigs through the same pair shuffle (they
-    ride along as columns — no join needed at 8 bytes per side).
-    """
+    Signatures are materialized once and counted; that count sizes both
+    gates: ``bucket_pairs`` over the N_BLOCKS + probes keys per doc
+    (``cfg.local_state_max_rows``), and the signature attach of the
+    Hamming check (broadcast up to ``cfg.broadcast_max_docs``)."""
     key = ("simhash", cfg.digest())
 
     def sign(batch: pa.Table) -> pa.Table:
         return task_local(key, lambda: SimHasher(cfg))(batch)
 
     sigs = docs.select_columns(["doc_id", "text"]).map_batches(
-        sign, batch_format="pyarrow", batch_size=cfg.minhash_batch_size)
-
-    def attach_pairs(part: pa.Table) -> pa.Table:
-        bh = part["band_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        ids = part["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        sg = part["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        order, starts = group_runs(bh)
-        sid, ssg = ids[order], sg[order]
-        out_a, out_b, out_ha, out_hb = [], [], [], []
-        sizes = np.diff(starts)
-        for ri in np.flatnonzero(sizes >= 2):
-            s, e = starts[ri], starts[ri + 1]
-            run_ids, run_sigs = sid[s:e], ssg[s:e]
-            o = np.argsort(run_ids, kind="stable")
-            run_ids, run_sigs = run_ids[o], run_sigs[o]
-            keep = np.concatenate(([True], run_ids[1:] != run_ids[:-1]))
-            run_ids, run_sigs = run_ids[keep], run_sigs[keep]
-            g = len(run_ids)
-            if g < 2:
-                continue
-            if g <= cfg.bucket_cap:
-                i, j = np.triu_indices(g, k=1)
-            else:
-                i = np.zeros(g - 1, dtype=np.int64)
-                j = np.arange(1, g)
-            out_a.append(run_ids[i])
-            out_b.append(run_ids[j])
-            out_ha.append(run_sigs[i])
-            out_hb.append(run_sigs[j])
-        if not out_a:
-            e = np.empty(0, np.uint64)
-            return pa.table({"a": pa.array(e, pa.uint64()),
-                             "b": pa.array(e, pa.uint64()),
-                             "hamming": pa.array(np.empty(0, np.int64))})
-        a = np.concatenate(out_a)
-        b = np.concatenate(out_b)
-        ham = _popcount64(np.concatenate(out_ha) ^ np.concatenate(out_hb))
-        keep = ham <= max_hamming
-        return pa.table({"a": pa.array(a[keep], pa.uint64()),
-                         "b": pa.array(b[keep], pa.uint64()),
-                         "hamming": pa.array(ham[keep].astype(np.int64))})
-
-    # bands re-emitted WITH the 8-byte simhash column riding along — no
-    # join needed to verify Hamming distance inside the pair shuffle
-    bands_with_sig = sigs.map_batches(
-        _emit_with_sig(cfg), batch_format="pyarrow")
-    pairs = partition_apply(bands_with_sig, "band_hash", attach_pairs,
-                            num_partitions)
-    return dedup_pairs(pairs, num_partitions)
-
-
-def _emit_with_sig(cfg: MPLSHConfig):
-    base = make_simhash_band_emitter(cfg)
-
-    def emit(batch: pa.Table) -> pa.Table:
-        t = base(batch)
-        # rows per doc = N_BLOCKS * (1 + probes) in doc-major order? The base
-        # emitter is band-major; rebuild the simhash column by doc lookup.
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        sig = batch["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        order = np.argsort(ids, kind="stable")
-        sids, ssig = ids[order], sig[order]
-        tids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        pos = np.searchsorted(sids, tids)
-        return t.append_column("simhash", pa.array(ssig[pos], pa.uint64()))
-
-    return emit
+        sign, batch_format="pyarrow", batch_size=DOCS_BATCH_ROWS) \
+        .materialize()
+    n = sigs.count()
+    pairs = bucket_pairs(
+        sigs, "band_hash", cfg.bucket_cap, num_partitions,
+        n_rows=n * (N_BLOCKS + cfg.probes),
+        local_max_rows=cfg.local_state_max_rows, schema=SIG_SCHEMA,
+        prep=make_simhash_band_emitter(cfg))
+    return pair_apply(pairs, sigs, "simhash", _hamming_kernel(max_hamming),
+                      num_partitions, payload_type=pa.uint64(),
+                      broadcast=n <= cfg.broadcast_max_docs,
+                      batch_size=65536)
 
 
 def _popcount64(x: np.ndarray) -> np.ndarray:

@@ -277,22 +277,27 @@ def test_one_giant_near_dup_family(ray_session):
 
 def test_bundled_emitter_path_equivalent(pipeline_result, ray_session,
                                          small_fixture, monkeypatch):
-    """The large-corpus emitter bundling (stages/output.BUNDLE_MIN_DOCS /
+    """The large-corpus emitter bundling (stages/pairs.BUNDLE_MIN_DOCS /
     BUNDLE_MIN_BYTES — fingerprint and band-key streams coalesced into
     few big blocks before their sort exchanges) must be invisible to
     results: lower the gate so the fixture corpus takes the bundled
-    plan and compare the whole dedup output bit-for-bit against the
-    default (unbundled) run. Covers the path the 150k-doc scaling
-    fixture exercises but the small pytest corpora otherwise never
-    reach."""
+    plan, and force the exchanges (``local_state_max_rows=0``; the
+    driver-pass branch of ``bucket_pairs`` runs no emitter map, so it
+    would never bundle), then compare the whole dedup output
+    bit-for-bit against the default run. Covers the path the 150k-doc
+    scaling fixture exercises but the small pytest corpora otherwise
+    never reach."""
     import ray.data as rd
 
-    from ray_data_mplsh.stages import output as So
+    from ray_data_mplsh.stages import pairs as Sp
 
-    monkeypatch.setattr(So, "BUNDLE_MIN_DOCS", 1)
-    monkeypatch.setattr(So, "BUNDLE_MIN_BYTES", 1)
+    monkeypatch.setattr(Sp, "BUNDLE_MIN_DOCS", 1)
+    monkeypatch.setattr(Sp, "BUNDLE_MIN_BYTES", 1)
+    assert Sp.emit_batch_size(100) == 512
+    assert Sp._bundle_batch_size(100, 100) is not None
     pages = rd.read_parquet(f"{small_fixture}/pages.parquet")
-    res = run_dedup(pages, MPLSHConfig(), extract=True)
+    res = run_dedup(pages, MPLSHConfig(local_state_max_rows=0), extract=True)
+    assert res.counters["pairs_path"] == "exchange"
     cols = ["doc_id", "cluster_id", "is_canonical", "final_text"]
     got = res.dedup_out.to_pandas()[cols] \
         .sort_values("doc_id").reset_index(drop=True)

@@ -13,7 +13,8 @@ from ray_data_mplsh.functions.hashing import (
     poly_str_hashes, rolling_shingle_hashes,
 )
 from ray_data_mplsh.stages.simhash import (
-    SimHasher, _popcount64, simhash_pairs, simhash_with_margins,
+    SIG_SCHEMA, SimHasher, _popcount64, make_simhash_band_emitter,
+    simhash_pairs, simhash_with_margins,
 )
 
 
@@ -88,11 +89,17 @@ def _brute_hamming_pairs(texts, cfg, max_hamming):
     return out
 
 
-def test_simhash_pairs_match_bruteforce(ray_session):
+@pytest.mark.parametrize("overrides", [
+    {}, {"local_state_max_rows": 0, "broadcast_max_docs": 0},
+], ids=["default", "forced_exchange"])
+def test_simhash_pairs_match_bruteforce(ray_session, overrides):
+    """Both branches of the bucket pairing (driver pass, key exchange)
+    and both signature attaches of the Hamming check (broadcast,
+    doc-keyed exchange) give the brute-force pair set."""
     import ray.data
 
     texts = _texts_corpus()
-    cfg = MPLSHConfig(min_chars=10, probes=8)
+    cfg = MPLSHConfig(min_chars=10, probes=8, **overrides)
     docs = ray.data.from_arrow(pa.table({
         "doc_id": pa.array(np.arange(len(texts), dtype=np.uint64),
                            pa.uint64()),
@@ -115,3 +122,30 @@ def test_simhash_pairs_match_bruteforce(ray_session):
            for a, b, h in zip(got.a, got.b, got.hamming)}
     for a, b, h in brute:
         assert ham[(a, b)] == h
+
+
+@pytest.mark.parametrize("probes", range(9))
+def test_simhash_emitter_keys_unique_per_doc(probes):
+    """No doc emits one band_hash twice, at any probe count: the 4 exact
+    block keys live in distinct block namespaces, each probe flips a
+    distinct bit (so changes its block's key), and mix64 is a bijection.
+    Bucket pairing relies on it — a bucket never holds a doc twice, so
+    it needs no per-bucket id dedup. Margins are drawn from a tiny range
+    so that the score order is full of ties."""
+    rng = np.random.Generator(np.random.PCG64(100 + probes))
+    emit = make_simhash_band_emitter(MPLSHConfig(probes=probes))
+    for _ in range(20):
+        n = int(rng.integers(0, 60))
+        sig = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+        margins = rng.integers(0, 3, size=(n, 64)).astype(np.int64)
+        batch = pa.Table.from_arrays([
+            pa.array(np.arange(n, dtype=np.uint64)),
+            pa.array(sig),
+            pa.FixedSizeListArray.from_arrays(
+                pa.array(margins.reshape(-1)), 64),
+        ], schema=SIG_SCHEMA)
+        out = emit(batch)
+        ids = out["doc_id"].to_numpy()
+        keys = out["band_hash"].to_numpy()
+        assert len(ids) == n * (4 + probes)     # 4 blocks + T flips
+        assert len(set(zip(ids.tolist(), keys.tolist()))) == len(ids)
