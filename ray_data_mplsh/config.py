@@ -41,8 +41,8 @@ class MPLSHConfig:
     # --- candidate pairing / skew (ops 14-16) ---
     bucket_cap: int = 256         # groups <= cap emit all C(g,2) pairs; larger
                                   # groups emit star pairs (member <-> min id)
-    salt_shards: int = 1          # >1: shard every bucket's rows across this many
-                                  # partitions and star-link shard minima (op 15)
+    salt_shards: int = 1          # >1: pair exact (band_hash, doc_id % S) shards,
+                                  # then star-link shard minima (op 15)
 
     # --- verification + clustering (ops 18-19) ---
     theta: float = 0.8            # target similarity of the recall gate

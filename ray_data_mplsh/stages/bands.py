@@ -18,10 +18,10 @@ drives the SimHash mode, where per-bit margins give non-trivial scores.
 ``prep`` of S5's ``pairs.bucket_pairs``, so the expansion streams
 straight into the S5 shuffle and is never materialized (SURVEY.md §4.3),
 or, when the key stream fits ``local_state_max_rows``, is built and
-bucketed in one driver pass. ``band_stage`` is the stand-alone S4 map
-(the salted plan and the per-stage trace run it); its batch size comes
-from the bundling policy next to the exchange it feeds
-(``pairs.emit_batch_size``).
+bucketed in one driver pass. ``band_stage`` is the stand-alone S4 map,
+for a per-stage trace that materializes the keys and pairs them with
+``pairs.pairs_stage``; its batch size comes from the bundling policy next
+to the exchange it feeds (``pairs.emit_batch_size``).
 """
 
 from __future__ import annotations

@@ -42,8 +42,9 @@ def _bidir(batch: pa.Table) -> pa.Table:
 
 
 def _orient_max_first(batch: pa.Table) -> pa.Table:
-    u = batch["u"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    v = batch["v"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    """(a, b) or (u, v) edges, the first two columns -> (max, min)."""
+    u, v = (c.to_numpy(zero_copy_only=False).astype(np.uint64)
+            for c in batch.columns[:2])
     return pa.Table.from_arrays([
         pa.array(np.maximum(u, v), pa.uint64()),
         pa.array(np.minimum(u, v), pa.uint64()),
@@ -163,8 +164,7 @@ def local_cc_labels(a: np.ndarray, b: np.ndarray
 
 
 def connected_components(verified_pairs, cfg: MPLSHConfig,
-                         num_partitions: int, *, n_edges: int = -1,
-                         force_distributed: bool = False):
+                         num_partitions: int, *, n_edges: int = -1):
     """verified pairs (a, b, ...) -> labels (doc_id, cluster_id) for every
     node incident to an edge (singletons are absent; callers default them
     to their own id).
@@ -173,21 +173,20 @@ def connected_components(verified_pairs, cfg: MPLSHConfig,
     component map is computed in one vectorized driver kernel — a CC round
     on a few MB of edges costs more in shuffle latency than it gains.
     Above the threshold (the 10^12-doc path), iterative star contraction
-    over Dataset shuffles runs as designed ([CC-MR]). An edgeless graph
-    fits any threshold, so it gets typed empty labels from the driver
-    kernel."""
-    if not force_distributed:
-        if n_edges < 0:
-            n_edges = verified_pairs.count()
-        if n_edges <= cfg.local_state_max_rows:
-            nodes, lbl = local_cc_labels(
-                *gather_columns(verified_pairs, "a", "b"))
-            return from_arrow_blocks(pa.Table.from_arrays(
-                [pa.array(nodes, pa.uint64()), pa.array(lbl, pa.uint64())],
-                names=["doc_id", "cluster_id"]))
+    over Dataset shuffles runs as designed ([CC-MR]);
+    ``local_state_max_rows=0`` sends every non-empty edge list there. An
+    edgeless graph fits any threshold, so it gets typed empty labels from
+    the driver kernel."""
+    if n_edges < 0:
+        n_edges = verified_pairs.count()
+    if n_edges <= cfg.local_state_max_rows:
+        nodes, lbl = local_cc_labels(*gather_columns(verified_pairs, "a", "b"))
+        return from_arrow_blocks(pa.Table.from_arrays(
+            [pa.array(nodes, pa.uint64()), pa.array(lbl, pa.uint64())],
+            names=["doc_id", "cluster_id"]))
 
     edges = verified_pairs.select_columns(["a", "b"]).map_batches(
-        _orient_max_first_pairs, batch_format="pyarrow").materialize()
+        _orient_max_first, batch_format="pyarrow").materialize()
     prev = None
     for _ in range(cfg.max_cc_rounds):
         bidir = edges.map_batches(_bidir, batch_format="pyarrow")
@@ -202,12 +201,3 @@ def connected_components(verified_pairs, cfg: MPLSHConfig,
         prev = cs
     bidir = edges.map_batches(_bidir, batch_format="pyarrow")
     return partition_apply(bidir, "u", _labels, num_partitions)
-
-
-def _orient_max_first_pairs(batch: pa.Table) -> pa.Table:
-    a = batch["a"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    b = batch["b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    return pa.Table.from_arrays([
-        pa.array(np.maximum(a, b), pa.uint64()),
-        pa.array(np.minimum(a, b), pa.uint64()),
-    ], schema=EDGE_SCHEMA)

@@ -13,10 +13,10 @@ with T probes a doc has b(1+T) keys, so bucket pairing runs per key):
 * bucket size  > bucket_cap: STAR pairing (every member <-> min doc_id),
   which preserves union-find connectivity at O(g) pairs and bounds any
   single bucket's fan-out (SURVEY.md op 15 straggler bound);
-* with cfg.salt_shards > 1 the shuffle key is salted by doc_id, splitting
-  every bucket across shards; connectivity across shards is restored by
-  star-linking the per-shard minima through a second, tiny shuffle keyed
-  on the unsalted band_hash.
+* with cfg.salt_shards > 1 every bucket is split by doc_id into shards:
+  the pairing runs on a salted key, one exact (band_hash, doc_id % S)
+  bucket each, and connectivity across shards is restored by a second
+  pairing that star-links the per-shard minima on the unsalted band_hash.
 
 Recall caveat (documented bound, not a bug): star pairing (hot buckets
 over ``bucket_cap``, and all cross-shard links when ``salt_shards > 1``)
@@ -48,8 +48,8 @@ pass (``prep`` derives them from the materialized input), with no
 exchange; else the key exchange, then ``dedup_pairs``.
 
 ``candidate_pairs`` is S4-S5 as the pipelines run them: ``bucket_pairs``
-over the n_docs x bands x (1 + probes) key stream, or, when salting is
-asked for, ``band_stage`` -> ``pairs_stage``.
+over the n_docs x bands x (1 + probes) key stream, salted or not;
+``pairs_stage`` runs the same plan over emitted band keys.
 
 The emitters that feed a pairing exchange are bundled for large corpora
 only (``emit_batch_size`` for band keys, ``_bundle_batch_size`` for
@@ -62,12 +62,14 @@ import numpy as np
 import pyarrow as pa
 
 from ray_data_mplsh.config import MPLSHConfig
-from ray_data_mplsh.stages.bands import band_stage, make_band_emitter
+from ray_data_mplsh.functions.hashing import mix64
+from ray_data_mplsh.stages.bands import BAND_SCHEMA, make_band_emitter
 from ray_data_mplsh.stages.shuffle import (
     group_runs, local_or_exchange, partition_apply, runs_local,
 )
 
 PAIRS_SCHEMA = pa.schema([("a", pa.uint64()), ("b", pa.uint64())])
+SALTED = "salted_hash"
 
 # large-corpus gate for bundling the emitters that feed a pairing
 # exchange (emit_batch_size, _bundle_batch_size): there, bundling wins
@@ -122,20 +124,19 @@ def _bundle_batch_size(n_canon: int, text_bytes: int) -> int | None:
     return None
 
 
-def _pairs_of_runs(ids: np.ndarray, starts: np.ndarray, cap: int,
-                   star_only: bool = False
+def _pairs_of_runs(ids: np.ndarray, starts: np.ndarray, cap: int
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Pairs (a < b) of the runs ``ids[starts[i]:starts[i + 1]]`` of a
     grouped id array, each run in any order: all C(g, 2) pairs of a run
-    of g <= ``cap`` ids, and for a bigger run (every run with
-    ``star_only``) its min id paired with each other id. Self-pairs (a
-    repeated id) are dropped; a pair two runs find is kept twice. No
-    Python loop over runs: the clique pairs come in one ``np.repeat``
-    shot, the star anchors from one ``np.minimum.reduceat``."""
+    of g <= ``cap`` ids, and for a bigger run (every run if ``cap`` is 0)
+    its min id paired with each other id. Self-pairs (a repeated id) are
+    dropped; a pair two runs find is kept twice. No Python loop over
+    runs: the clique pairs come in one ``np.repeat`` shot, the star
+    anchors from one ``np.minimum.reduceat``."""
     sizes = np.diff(starts)
     multi = sizes >= 2                    # a singleton run pairs nothing
     ids, sizes = ids[np.repeat(multi, sizes)], sizes[multi]
-    is_star = star_only | (sizes > cap)
+    is_star = sizes > cap
     on_star = np.repeat(is_star, sizes)
     # clique runs: element p of a run of g pairs with the g-1-p after it
     cids, cg = ids[~on_star], sizes[~is_star]
@@ -187,58 +188,6 @@ def _emit_pairs_fn(key_col: str, cap: int):
     return fn
 
 
-def _shard_minima_fn(part: pa.Table) -> pa.Table:
-    """Per (band_hash) bucket: link all shard minima to the global minimum."""
-    bh = part["band_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    ids = part["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    order, starts = group_runs(bh, stable=False)
-    a, b = _pairs_of_runs(ids[order], starts, cap=0, star_only=True)
-    return pa.Table.from_arrays([pa.array(a, pa.uint64()),
-                                 pa.array(b, pa.uint64())],
-                                schema=PAIRS_SCHEMA)
-
-
-def _add_salt(cfg: MPLSHConfig):
-    def fn(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        salt = (ids % np.uint64(cfg.salt_shards)).astype(np.uint64)
-        return batch.append_column("salt", pa.array(salt, pa.uint64()))
-    return fn
-
-
-def _shard_min_emit(part: pa.Table) -> pa.Table:
-    """Within a salted partition: one row per (band_hash) run carrying the
-    run's min doc_id — the shard's representative for cross-shard linking."""
-    bh = part["band_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    ids = part["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    order, starts = group_runs(bh, stable=False)
-    run_min = np.minimum.reduceat(ids[order], starts[:-1]) if len(ids) else \
-        np.empty(0, np.uint64)
-    return pa.Table.from_arrays([
-        pa.array(bh[order][starts[:-1]], pa.uint64()),
-        pa.array(run_min, pa.uint64()),
-    ], names=["band_hash", "doc_id"])
-
-
-def pairs_stage(band_keys, cfg: MPLSHConfig, num_partitions: int):
-    """band_keys (doc_id, band_hash) -> pairs (a, b)."""
-    emit = _emit_pairs_fn("band_hash", cfg.bucket_cap)
-    if cfg.salt_shards > 1:
-        salted = band_keys.map_batches(_add_salt(cfg), batch_format="pyarrow")
-        within = partition_apply(salted, "band_hash", emit,
-                                 num_partitions, salt_col="salt")
-        minima = partition_apply(salted, "band_hash", _shard_min_emit,
-                                 num_partitions, salt_col="salt")
-        cross = partition_apply(minima, "band_hash", _shard_minima_fn,
-                                num_partitions)
-        pairs = within.union(cross)
-    else:
-        pairs = partition_apply(band_keys, "band_hash", emit,
-                                num_partitions)
-    return dedup_pairs(pairs, num_partitions,
-                       local_max_rows=cfg.local_state_max_rows)
-
-
 def bucket_pairs(ds, key: str, cap: int, num_partitions: int, *,
                  n_rows: int, local_max_rows: int, schema: pa.Schema,
                  prep=None, batch_size: int | None = None):
@@ -262,28 +211,81 @@ def bucket_pairs(ds, key: str, cap: int, num_partitions: int, *,
     return dedup_pairs(pairs, num_partitions, local_max_rows=local_max_rows)
 
 
+def _salted(shards: int, prep):
+    """``prep``'s band keys plus ``salted_hash``, the key of the exact
+    (band_hash, doc_id % ``shards``) bucket: one-to-one in band_hash per
+    shard, so two shards meet only on a 64-bit coincidence."""
+    def fn(t: pa.Table) -> pa.Table:
+        t = prep(t) if prep is not None else t
+        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        bh = t["band_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
+        salted = bh ^ mix64(ids % np.uint64(shards))
+        return t.append_column(SALTED, pa.array(salted, pa.uint64()))
+    return fn
+
+
+def _shard_minima(part: pa.Table) -> pa.Table:
+    """Per salted bucket, its band_hash and min doc_id: the shard's anchor
+    for the cross-shard star."""
+    key = part[SALTED].to_numpy(zero_copy_only=False).astype(np.uint64)
+    bh = part["band_hash"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    ids = part["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    order, starts = group_runs(key, stable=False)
+    first = starts[:-1]
+    lo = np.minimum.reduceat(ids[order], first) if len(ids) else ids
+    return pa.Table.from_arrays([pa.array(lo, pa.uint64()),
+                                 pa.array(bh[order][first], pa.uint64())],
+                                schema=BAND_SCHEMA)
+
+
+def _band_pairs(ds, cfg: MPLSHConfig, num_partitions: int, n_keys: int, *,
+                schema: pa.Schema, prep=None, batch_size: int | None = None):
+    """S5 over the ``n_keys`` band keys ``prep`` derives from ``ds``: one
+    ``bucket_pairs`` on band_hash. Salted, that runs on the salted key,
+    and a cap-0 ``bucket_pairs`` on band_hash star-links the shard
+    minima. Within-shard pairs join docs of one shard and cross-shard
+    pairs docs of two, so their union is unique. Every bucket is exact
+    and every step takes the branch ``n_keys`` chooses: the pairs
+    depend only on (data, cfg)."""
+    salted = cfg.salt_shards > 1
+    kw = dict(n_rows=n_keys, local_max_rows=cfg.local_state_max_rows,
+              schema=schema, batch_size=batch_size,
+              prep=_salted(cfg.salt_shards, prep) if salted else prep)
+    pairs = bucket_pairs(ds, SALTED if salted else "band_hash",
+                         cfg.bucket_cap, num_partitions, **kw)
+    if not salted:
+        return pairs
+    minima = local_or_exchange(ds, SALTED, _shard_minima, num_partitions,
+                               **kw)
+    kw.update(schema=BAND_SCHEMA, prep=None, batch_size=None)
+    return pairs.union(bucket_pairs(minima, "band_hash", 0, num_partitions,
+                                    **kw))
+
+
 def candidate_pairs(sigs, cfg: MPLSHConfig, num_partitions: int,
                     n_docs: int, counters: dict | None = None):
     """Materialized sigs (doc_id, sig) of ``n_docs`` rows -> deduped
-    candidate pairs (a, b): S4 and S5 as one ``bucket_pairs`` over the
-    band keys, which the band emitter derives from the signatures (on
-    the exchange map-side, bundled by ``emit_batch_size``). Salted
-    configs keep ``pairs_stage``'s star-linked plan, whose pairs differ.
+    candidate pairs (a, b): S4 and S5 as ``_band_pairs`` over the band
+    keys, which the band emitter derives from the signatures (on the
+    exchange map-side, bundled by ``emit_batch_size``).
     ``counters["pairs_path"]`` records the branch that ran."""
     n_keys = n_docs * cfg.bands * (1 + cfg.probes)
-    local = cfg.salt_shards <= 1 and runs_local(n_keys,
-                                                cfg.local_state_max_rows)
     if counters is not None:
-        counters["pairs_path"] = "local" if local else "exchange"
-    if cfg.salt_shards > 1:
-        return pairs_stage(band_stage(sigs, cfg, n_docs=n_docs), cfg,
-                           num_partitions)
+        counters["pairs_path"] = "local" if runs_local(
+            n_keys, cfg.local_state_max_rows) else "exchange"
     schema = pa.schema([("doc_id", pa.uint64()),
                         ("sig", pa.list_(pa.uint64(), cfg.num_perm))])
-    return bucket_pairs(
-        sigs, "band_hash", cfg.bucket_cap, num_partitions, n_rows=n_keys,
-        local_max_rows=cfg.local_state_max_rows, schema=schema,
-        prep=make_band_emitter(cfg), batch_size=emit_batch_size(n_docs))
+    return _band_pairs(sigs, cfg, num_partitions, n_keys, schema=schema,
+                       prep=make_band_emitter(cfg),
+                       batch_size=emit_batch_size(n_docs))
+
+
+def pairs_stage(band_keys, cfg: MPLSHConfig, num_partitions: int):
+    """band_keys (doc_id, band_hash) -> pairs (a, b): S5 alone, the plan of
+    ``candidate_pairs`` over the materialized keys."""
+    band_keys = band_keys.materialize()
+    return _band_pairs(band_keys, cfg, num_partitions, band_keys.count(),
+                       schema=BAND_SCHEMA)
 
 
 def _unique_pairs(part: pa.Table) -> pa.Table:

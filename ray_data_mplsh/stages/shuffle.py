@@ -315,18 +315,22 @@ def sized_partitions(n_rows: int, num_partitions: int, *,
 
 
 def gather_capped(ds, max_rows: int, schema: pa.Schema) -> pa.Table | None:
-    """Stream a Dataset to ONE driver-side Arrow table, aborting as soon
-    as more than ``max_rows`` rows have arrived — the broadcast-overflow
+    """Stream a Dataset to ONE driver-side Arrow table, or ``None`` once
+    more than ``max_rows`` rows have arrived — the broadcast-overflow
     gate: callers broadcast the table when it comes back, and flip to a
     keyed-exchange plan when it is ``None`` (the side was not
     driver-sized; the partial gather is discarded and the side's plan
-    re-executes inside the exchange)."""
+    re-executes inside the exchange). Past the cap the stream is read to
+    its end, keeping no more batches: an abandoned execution's task
+    cancels can race the tasks' replies and abort the driver (Ray
+    2.49.2)."""
     parts, rows = [], 0
     for b in ds.iter_batches(batch_size=65536, batch_format="pyarrow"):
-        parts.append(b)
         rows += b.num_rows
-        if rows > max_rows:
-            return None
+        if rows <= max_rows:
+            parts.append(b)
+    if rows > max_rows:
+        return None
     if not parts:
         return schema.empty_table()
     return pa.concat_tables(parts).cast(schema)

@@ -12,8 +12,9 @@ doc_id), a partially re-executed run is byte-identical to a fresh one
 (SURVEY.md §2.9).
 
 Lineage: one row per written part file (stage, partition file, rows,
-wall_s, run_id, digest), appended to ``<ckpt_dir>/<run_id>/lineage/`` —
-the per-partition audit trail of op 27.
+run_id, digest), appended to ``<ckpt_dir>/<run_id>/lineage/`` — the
+per-partition audit trail of op 27. A stage's wall is one number for all
+its parts, so it lives in the manifest only.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ LINEAGE_SCHEMA = pa.schema([
     ("partition_id", pa.int32()),
     ("path", pa.string()),
     ("rows_out", pa.int64()),
-    ("wall_s", pa.float64()),
     ("run_id", pa.string()),
     ("config_digest", pa.string()),
 ])
@@ -78,8 +78,7 @@ def write_stage(ds, cfg: MPLSHConfig, stage: str, wall_s: float):
             continue
         n = pq.ParquetFile(os.path.join(d, name)).metadata.num_rows
         rows += n
-        lineage_rows.append((stage, i, name, n, wall_s, cfg.run_id,
-                             cfg.digest()))
+        lineage_rows.append((stage, i, name, n, cfg.run_id, cfg.digest()))
     with open(os.path.join(d, "_SUCCESS"), "w") as f:
         json.dump({"stage": stage, "config_digest": cfg.digest(),
                    "row_count": rows, "wall_s": wall_s,

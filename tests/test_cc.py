@@ -27,7 +27,11 @@ def _dsu_components(edges):
     return {n: find(n) for n in parent}
 
 
-def _run_cc(edges, ray_session, force_distributed=True):
+# local_state_max_rows=0 sends every non-empty edge list to star contraction
+DISTRIBUTED = MPLSHConfig(local_state_max_rows=0)
+
+
+def _run_cc(edges, ray_session, cfg=DISTRIBUTED):
     import ray.data as rd
 
     t = pa.table({
@@ -35,9 +39,7 @@ def _run_cc(edges, ray_session, force_distributed=True):
         "b": pa.array([e[1] for e in edges], pa.uint64()),
         "jaccard": pa.array([1.0] * len(edges), pa.float64()),
     })
-    cfg = MPLSHConfig()
-    labels = connected_components(rd.from_arrow(t), cfg, num_partitions=4,
-                                  force_distributed=force_distributed)
+    labels = connected_components(rd.from_arrow(t), cfg, num_partitions=4)
     df = labels.to_pandas()
     return dict(zip(df["doc_id"].astype(int), df["cluster_id"].astype(int)))
 
@@ -53,10 +55,10 @@ def test_star_contraction_matches_dsu(ray_session, seed, n_nodes, n_edges):
     edges = [(a, b) for a, b in edges if a != b]
     want = _dsu_components(edges)
     # the distributed star-contraction path (the 10^12-doc route) ...
-    got = _run_cc(edges, ray_session, force_distributed=True)
+    got = _run_cc(edges, ray_session)
     assert got == want
     # ... and the driver-side hybrid kernel agree with the reference DSU
-    got_local = _run_cc(edges, ray_session, force_distributed=False)
+    got_local = _run_cc(edges, ray_session, MPLSHConfig())
     assert got_local == want
 
 

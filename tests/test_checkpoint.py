@@ -30,18 +30,25 @@ def test_resume_is_byte_identical_and_skips_stages(
     ckpt = str(tmp_path / "ckpt")
     out1, c1, cfg = _run(small_fixture, ckpt)
     assert not any(k.endswith("_resumed") for k in c1), c1
-    # manifests + lineage written for every checkpointed stage
+    # manifests + lineage written for every checkpointed stage, the
+    # lineage's per-part rows summing to the manifest's row count
+    import json
+
+    import pyarrow.parquet as pq
     for stage in ["docs", "sigs", "pairs", "verified", "labels", "dedup_out"]:
         assert manifest_valid(cfg, stage), stage
-        assert os.path.exists(
+        lineage = pq.read_table(
             os.path.join(ckpt, "r1", "lineage", f"{stage}.parquet"))
+        with open(os.path.join(ckpt, "r1", stage, "_SUCCESS")) as f:
+            manifest = json.load(f)
+        assert sum(lineage["rows_out"].to_pylist()) == \
+            manifest["row_count"], stage
 
     out2, c2, _ = _run(small_fixture, ckpt)
     assert c2.get("docs_resumed") and c2.get("sigs_resumed") \
         and c2.get("dedup_out_resumed"), c2
     pd.testing.assert_frame_equal(out1, out2)
     # metrics.json written with the config digest
-    import json
     with open(os.path.join(ckpt, "r1", "metrics.json")) as f:
         m = json.load(f)
     assert m["config_digest"] == cfg.digest() and "wall_s" in m

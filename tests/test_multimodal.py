@@ -110,17 +110,18 @@ def test_media_exact_dedup_projected_equals_direct(ray_session):
 def test_media_near_dup_finds_planted_pairs(ray_session):
     from ray_data_mplsh.stages.multimodal import media_near_dup
 
-    # identical payloads -> identical stub features -> cosine == 1
+    # identical payloads -> identical stub features -> cosine == 1.
+    # Groups come from the payload bytes, not the row position: Ray Data
+    # does not keep synth_media's row order.
     media = synth_media(60, seed=9, n_distinct=30)
     pairs = media_near_dup(media, threshold=0.999).to_pandas()
     src = synth_media(60, seed=9, n_distinct=30).to_pandas()
-    ids = src.media_id.to_numpy().astype(np.uint64)
-    dup = {}
-    for i, mid in enumerate(ids):
-        dup.setdefault(i % 30, []).append(mid)
-    want = {tuple(sorted(np.array(g, dtype=np.uint64).view(np.int64)))
-            for g in dup.values() if len(g) == 2}
-    got = {tuple(sorted((a, b))) for a, b in zip(pairs.a, pairs.b)}
+    groups = src.groupby("payload")["media_id"].agg(list)
+    assert len(groups) == 30 and (groups.str.len() == 2).all()
+    want = {tuple(sorted(np.array(g, np.uint64).view(np.int64).tolist()))
+            for g in groups}
+    got = {tuple(sorted((a, b))) for a, b in zip(pairs.a.tolist(),
+                                                 pairs.b.tolist())}
     assert want <= got
 
 

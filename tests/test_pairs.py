@@ -9,7 +9,7 @@ import pytest
 from ray_data_mplsh.stages.pairs import _emit_pairs_fn, _pairs_of_runs
 
 
-def _pairs_of_runs_loop(ids, starts, cap, star_only=False):
+def _pairs_of_runs_loop(ids, starts, cap):
     """The reference: sort each run, all pairs by ``triu_indices`` up to
     ``cap``, else the star at the run's min id; self-pairs dropped."""
     out_a, out_b = [], []
@@ -18,7 +18,7 @@ def _pairs_of_runs_loop(ids, starts, cap, star_only=False):
         g = len(run)
         if g < 2:
             continue
-        if g <= cap and not star_only:
+        if g <= cap:
             i, j = np.triu_indices(g, k=1)
             out_a.append(run[i])
             out_b.append(run[j])
@@ -38,9 +38,9 @@ def _sorted_pairs(a, b):
     return a[o], b[o]
 
 
-def _check(ids, starts, cap, star_only=False):
-    got = _pairs_of_runs(ids, starts, cap, star_only)
-    want = _pairs_of_runs_loop(ids, starts, cap, star_only)
+def _check(ids, starts, cap):
+    got = _pairs_of_runs(ids, starts, cap)
+    want = _pairs_of_runs_loop(ids, starts, cap)
     assert got[0].dtype == np.uint64 and got[1].dtype == np.uint64
     assert np.all(got[0] < got[1])
     ga, gb = _sorted_pairs(*got)
@@ -58,7 +58,8 @@ def _runs(rng, sizes, id_range):
 @pytest.mark.parametrize("cap", [0, 1, 2, 3, 5, 16])
 def test_pairs_of_runs_matches_loop_fuzz(cap):
     """Random runs of size 1, 2, 3..cap, exactly cap+1 and far above cap,
-    distinct ids or heavy duplicates, with and without star_only."""
+    distinct ids or heavy duplicates; every fourth trial stars every run
+    (cap 0, the cross-shard pairing of salted S5)."""
     rng = np.random.default_rng(cap)
     for trial in range(300):
         sizes = rng.choice([1, 2, max(3, cap), cap + 1, 4 * cap + 7],
@@ -66,7 +67,7 @@ def test_pairs_of_runs_matches_loop_fuzz(cap):
         sizes = np.maximum(sizes, 1)
         id_range = int(rng.choice([4, 50, 1 << 40]))
         ids, starts = _runs(rng, sizes, id_range)
-        _check(ids, starts, cap, star_only=bool(trial % 4 == 0))
+        _check(ids, starts, 0 if trial % 4 == 0 else cap)
 
 
 def test_pairs_of_runs_edges():
@@ -74,7 +75,7 @@ def test_pairs_of_runs_edges():
     # an empty input (group_runs' starts for zero rows)
     a, b = _pairs_of_runs(e, np.zeros(1, np.int64), 4)
     assert len(a) == len(b) == 0
-    a, b = _pairs_of_runs(e, np.zeros(1, np.int64), 4, star_only=True)
+    a, b = _pairs_of_runs(e, np.zeros(1, np.int64), 0)
     assert len(a) == len(b) == 0
     # singletons only
     ids = np.array([5, 3, 9], np.uint64)
@@ -82,9 +83,9 @@ def test_pairs_of_runs_edges():
     assert len(a) == 0
     # one run of duplicate ids: only self-pairs, all dropped
     ids = np.array([7, 7, 7, 7], np.uint64)
-    for cap, so in [(8, False), (2, False), (0, False), (8, True)]:
-        _check(ids, np.array([0, 4], np.int64), cap, so)
-        assert len(_pairs_of_runs(ids, np.array([0, 4]), cap, so)[0]) == 0
+    for cap in (8, 2, 0):
+        _check(ids, np.array([0, 4], np.int64), cap)
+        assert len(_pairs_of_runs(ids, np.array([0, 4]), cap)[0]) == 0
     # an unsorted clique run and an unsorted star run
     ids = np.array([9, 2, 5, 2, 8, 1, 6, 3, 1], np.uint64)
     starts = np.array([0, 4, 9], np.int64)
@@ -93,7 +94,6 @@ def test_pairs_of_runs_edges():
     assert set(zip(a.tolist(), b.tolist())) == {
         (2, 9), (5, 9), (2, 5), (1, 8), (1, 6), (1, 3)}
     _check(ids, starts, cap=0)
-    _check(ids, starts, cap=4, star_only=True)
 
 
 @pytest.mark.parametrize("cap", [0, 3, 256])

@@ -120,7 +120,8 @@ def test_salted_path_equivalent(ray_session, small_fixture, small_oracle):
 
 @pytest.mark.parametrize("overrides,path", [
     ({}, "local"), ({"local_state_max_rows": 0}, "exchange"),
-    ({"salt_shards": 2}, "exchange"),
+    ({"salt_shards": 2, "local_state_max_rows": 0}, "exchange"),
+    ({"salt_shards": 2}, "local"),
 ])
 def test_candidate_pairs_equals_band_then_pairs_stage(pipeline_result,
                                                       overrides, path):
@@ -144,6 +145,30 @@ def test_candidate_pairs_equals_band_then_pairs_stage(pipeline_result,
     assert len(want[0]) > 0
     assert set(zip(*got)) == set(zip(*want))
     assert len(got[0]) == len(set(zip(*got)))          # deduped
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+def test_salted_pairs_do_not_depend_on_partitions(pipeline_result, shards):
+    """Salted S4-S5 pairs every exact (band_hash, doc_id % shards) bucket,
+    so its candidate pairs are one set at every partition count, on the
+    driver branch and on the exchange (``local_state_max_rows=0``)."""
+    import dataclasses
+
+    from ray_data_mplsh.stages.pairs import candidate_pairs
+    from ray_data_mplsh.stages.shuffle import gather_columns
+
+    sigs = pipeline_result.sigs
+    n = sigs.count()
+    cfg = MPLSHConfig(salt_shards=shards)
+    found = {}
+    for c in (cfg, dataclasses.replace(cfg, local_state_max_rows=0)):
+        for P in (2, 8, 16, 64):
+            a, b = gather_columns(candidate_pairs(sigs, c, P, n), "a", "b")
+            found[c.local_state_max_rows, P] = frozenset(zip(a, b))
+            assert len(a) == len(found[c.local_state_max_rows, P])
+    assert len(set(found.values())) == 1, {k: len(v)
+                                           for k, v in found.items()}
+    assert len(next(iter(found.values()))) > 0
 
 
 def test_shuffle_verify_path_equivalent(ray_session, small_fixture,

@@ -412,3 +412,32 @@ def test_tpch_q2_q11_q12_q20_q21_broadcast_overflow_fallback(ray_session):
         got = q(sf, broadcast_max_rows=0).to_pandas()[cols] \
             .sort_values(cols).reset_index(drop=True)
         pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+
+def test_gather_capped_reads_an_overflowing_stream_to_its_end():
+    """Past its cap ``gather_capped`` returns None only after its batch
+    stream ends: leaving the loop early drops a running execution, and
+    Ray Data then cancels its in-flight tasks. Under the cap it returns
+    every row, typed; an empty stream gives the typed empty table."""
+    from ray_data_mplsh.stages.shuffle import gather_capped
+
+    schema = pa.schema([("x", pa.int64())])
+
+    class FakeDataset:
+        def __init__(self, n_batches):
+            self.n_batches, self.read, self.exhausted = n_batches, 0, False
+
+        def iter_batches(self, batch_size, batch_format):
+            for i in range(self.n_batches):
+                self.read += 1
+                yield pa.table({"x": pa.array([i, i], pa.int32())})
+            self.exhausted = True
+
+    over = FakeDataset(5)
+    assert gather_capped(over, 3, schema) is None
+    assert over.exhausted and over.read == 5
+    under = FakeDataset(2)
+    t = gather_capped(under, 4, schema)
+    assert under.exhausted and t.schema == schema
+    assert t["x"].to_pylist() == [0, 0, 1, 1]
+    assert gather_capped(FakeDataset(0), 0, schema) == schema.empty_table()
